@@ -32,7 +32,6 @@ from .limits import (
     DEGENERATE_RADIUS,
     LsdLaw,
     EsdSample,
-    QuadratureError,
     radial_tail,
     lsd_radial_cdf,
     lsd_sample,
@@ -46,6 +45,7 @@ from .limits import (
 )
 from .extremes import (
     GumbelNormalization,
+    QuadratureError,
     gumbel_cdf,
     normalization,
     kbar,

@@ -180,12 +180,11 @@ def _jsonify(obj):
 
 
 def _worker_count(n_tasks: int) -> int:
+    """Trial threads: KCIRC_THREADS if set, else 8, capped by the CPUs and the tasks."""
     env = os.environ.get("KCIRC_THREADS", "").strip()
-    if env:
-        workers = max(1, int(env))
-    else:
-        workers = min(os.cpu_count() or 1, 8)
-    return max(1, min(workers, n_tasks))
+    if env and not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"KCIRC_THREADS must be a positive integer, got {env!r}")
+    return max(1, min(int(env) if env else 8, os.cpu_count() or 1, n_tasks))
 
 
 def _map_trials(fn, n_tasks: int) -> list:

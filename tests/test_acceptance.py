@@ -215,3 +215,21 @@ def test_criterion_8_reproducibility(tmp_path):
     assert "wall" not in json.dumps(payload)
     print("\ncriterion 8: PASS (JSON and CSV byte-identical across "
           "1-thread and 4-thread runs)")
+
+
+def test_criterion_9_product_laws_beyond_g2():
+    runs = {}
+    for kind, k, n, g in ((KIND_LSD3, 21, 9262, 3), (KIND_LSD4, 10, 9999, 4)):
+        t0 = time.perf_counter()
+        config = ExperimentConfig(kind=kind, k=k, n=n, trials=5,
+                                  master_seed=DEFAULT_MASTER_SEED)
+        report = run_lsd_experiment(config)
+        elapsed = time.perf_counter() - t0
+        assert (report.hypothesis["g"], report.hypothesis["s"]) == (g, 1), kind
+        assert report.passed, (kind, report.aggregates)
+        assert elapsed < 30.0, f"{kind} took {elapsed:.1f}s"
+        runs[g] = (report.aggregates["radial_ks_mean"], elapsed)
+    pretty = "; ".join(f"g={g}: mean radial KS {ks:.4f}, {sec:.1f}s"
+                       for g, (ks, sec) in runs.items())
+    print(f"\ncriterion 9: PASS (theorem 3 at k=21 n=9262 and theorem 4 at "
+          f"k=10 n=9999; {pretty})")

@@ -3,6 +3,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from kcirculant.montecarlo import _worker_count
+
 
 def kcirc(*args, env_extra=None):
     env = dict(os.environ)
@@ -221,3 +225,25 @@ class TestReproducibilityAcrossThreads:
         assert kcirc(*args, "--out", str(p2),
                      env_extra={"KCIRC_THREADS": "4"}).returncode == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestThreadsVariable:
+    LSD = ("lsd", "--theorem", "3", "--k", "10", "--n", "101", "--trials", "2",
+           "--tol-radial", "0.9")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+    def test_bad_value_is_usage_error(self, value):
+        out = kcirc(*self.LSD, env_extra={"KCIRC_THREADS": value})
+        assert out.returncode == 2
+        assert "KCIRC_THREADS" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("KCIRC_THREADS", "100000")
+        assert _worker_count(780) == min(os.cpu_count() or 1, 780)
+        assert _worker_count(1) == 1
+
+    def test_default_unchanged(self, monkeypatch):
+        monkeypatch.delenv("KCIRC_THREADS", raising=False)
+        assert _worker_count(780) == min(os.cpu_count() or 1, 8)
+        assert _worker_count(1) == 1

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import kbar_closed_form
+from helpers import kbar_closed_form, product_tail
 from kcirculant.limits import (
     DEGENERATE_RADIUS,
     LsdLaw,
@@ -17,8 +18,11 @@ from kcirculant.limits import (
     lsd_radial_cdf,
     lsd_sample,
     radial_tail,
+    _radial_cdf,
 )
 from kcirculant.spectral import formula_spectrum
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 def law3(g=2):
@@ -27,6 +31,18 @@ def law3(g=2):
 
 def law4(g=2):
     return LsdLaw.uniform_circle_product(g)
+
+
+def uniform_product_cdf(g, y):
+    """P(U_1 * ... * U_g <= y) for uniforms, y < 1: y * sum_{j<g} ln(1/y)^j / j!.
+
+    E >=_st U makes this an upper bound on the exponential product's CDF.
+    """
+    log_inv, term, total = -math.log(y), 1.0, 0.0
+    for j in range(g):
+        total += term
+        term *= log_inv / (j + 1)
+    return y * total
 
 
 class TestRadialTail:
@@ -54,7 +70,7 @@ class TestRadialTail:
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_against_monte_carlo(self, g):
         rng = np.random.default_rng(100 + g)
         prods = rng.exponential(size=(10**6, g)).prod(axis=1)
@@ -78,10 +94,46 @@ class TestRadialTail:
 
 
 class TestRadialCdf:
-    def test_g1_closed_form(self):
-        for x in (0.1, 0.7, 1.3, 2.0):
-            assert lsd_radial_cdf(law4(1), x) == pytest.approx(1 - math.exp(-x * x),
-                                                               abs=1e-10)
+    @PROPERTY
+    @given(x=st.floats(0.0, 10.0))
+    def test_g1_closed_form(self, x):
+        assert lsd_radial_cdf(law4(1), x) == pytest.approx(1 - math.exp(-x * x),
+                                                           abs=1e-15)
+
+    @PROPERTY
+    @given(g=st.sampled_from([2, 3]), r=st.floats(1e-6, 5.0))
+    def test_matches_quadrature_oracle(self, g, r):
+        oracle = 1.0 - product_tail(g, r ** (2 * g))
+        assert abs(lsd_radial_cdf(law4(g), r) - oracle) <= 1e-10
+
+    @PROPERTY
+    @given(r=st.floats(1e-6, 1.75))
+    def test_g2_matches_bessel_closed_form(self, r):
+        # r <= 1.75 keeps 2 sqrt(y) below 6.2, where the series K1 of the
+        # helpers is good to ~1e-13 absolute (near its z = 8 crossover, ~1e-11)
+        y = r ** 4
+        assert abs(radial_tail(2, y) - kbar_closed_form(y)) <= 1e-12
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_bounded_monotone_under_uniform_bound(self, g):
+        radii = np.logspace(-12, 1, 1500)
+        cdf = _radial_cdf(g, radii)
+        assert np.all((cdf >= 0.0) & (cdf <= 1.0))
+        assert np.all(np.diff(cdf) >= -1e-14)
+        for r, f in zip(radii, cdf):
+            y = r ** (2 * g)
+            if y < 1.0:
+                assert f <= uniform_product_cdf(g, y) * (1 + 1e-12), (r, f)
+        # blocks are grouped differently one point at a time
+        scalar = [lsd_radial_cdf(law4(g), float(r)) for r in radii[::25]]
+        assert np.abs(cdf[::25] - scalar).max() <= 1e-14
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_far_left_tail_does_not_alias(self, g):
+        # a fixed 100-node inversion grid without the tail guard returned
+        # 2e-4 (g=1), 5e-5 (g=3) and 8e-3 (g=4) here
+        cdf = lsd_radial_cdf(law4(g), 1e-6)
+        assert 0.0 <= cdf <= uniform_product_cdf(g, 1e-6 ** (2 * g)) * (1 + 1e-12)
 
     def test_g2_at_one(self):
         assert lsd_radial_cdf(law3(2), 1.0) == pytest.approx(0.7202682363669551,
