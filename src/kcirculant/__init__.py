@@ -22,6 +22,7 @@ from .spectral import (
     dft_naive,
     block_products,
     formula_spectrum,
+    formula_radius,
     det_probe_oracle,
     dense_spectrum_oracle,
     spectra_match,

@@ -2,17 +2,15 @@
 
 Each experiment first checks the number-theoretic hypothesis its limit law
 needs (and echoes the concrete congruence data for audit), then runs
-independent trials from pre-derived seeds. Reports are deterministic given
-the master seed no matter how many worker threads run the trials.
+independent trials from pre-derived seeds, one after another in index order.
+Reports are deterministic given the master seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,6 +43,7 @@ __all__ = [
 DEFAULT_MASTER_SEED = 20260811
 DFT_EXPERIMENT_CAP = 200_000
 DENSE_ORACLE_CAP = 128
+G_MAX = 24  # largest product exponent g an experiment accepts or infers
 _REFERENCE_STREAM = 1 << 48  # seed-index offset for auxiliary reference samples
 
 
@@ -154,7 +153,7 @@ class ExperimentReport:
 
     def to_json(self) -> str:
         """Canonical serialization; wall clock is excluded on purpose so that
-        equal-seed runs are byte-identical regardless of thread count."""
+        equal-seed runs are byte-identical."""
         payload = {"config": self.config, "hypothesis": self.hypothesis,
                    "trials": self.trials, "aggregates": self.aggregates,
                    "pass": self.passed}
@@ -179,39 +178,20 @@ def _jsonify(obj):
     return obj
 
 
-def _worker_count(n_tasks: int) -> int:
-    """Trial threads: KCIRC_THREADS if set, else 8, capped by the CPUs and the tasks."""
-    env = os.environ.get("KCIRC_THREADS", "").strip()
-    if env and not (env.isdecimal() and int(env) >= 1):
-        raise ValueError(f"KCIRC_THREADS must be a positive integer, got {env!r}")
-    return max(1, min(int(env) if env else 8, os.cpu_count() or 1, n_tasks))
-
-
-def _map_trials(fn, n_tasks: int) -> list:
-    """Run fn(0..n_tasks-1); results come back in index order regardless of
-    worker count, and every trial owns a pre-derived seed, so the report is
-    identical for any parallelism degree."""
-    workers = _worker_count(n_tasks)
-    if workers == 1:
-        return [fn(i) for i in range(n_tasks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_tasks)))
-
-
 def _smallest_prime_divisor(g: int) -> int:
     return factorize(g)[0][0] if g > 1 else 1
 
 
-def infer_g(kind: str, k: int, n: int, g_max: int = 24) -> int:
-    """Smallest exponent g with k^g = -1 (mod n) (lsd3) or +1 (lsd4)."""
+def infer_g(kind: str, k: int, n: int) -> int:
+    """Smallest exponent g <= G_MAX with k^g = -1 (mod n) (lsd3) or +1 (lsd4)."""
     target = n - 1 if kind == KIND_LSD3 else 1
     kg = 1
-    for g in range(1, g_max + 1):
+    for g in range(1, G_MAX + 1):
         kg = kg * k % n
         if kg == target:
             return g
     sign = "-1" if kind == KIND_LSD3 else "+1"
-    raise HypothesisError(f"no g <= {g_max} satisfies k^g = {sign} (mod n) "
+    raise HypothesisError(f"no g <= {G_MAX} satisfies k^g = {sign} (mod n) "
                           f"for k={k}, n={n}")
 
 
@@ -228,6 +208,8 @@ def hypothesis_check(config: ExperimentConfig) -> dict:
         if math.gcd(k, n) != 1:
             raise HypothesisError(f"gcd(k, n) = {math.gcd(k, n)} != 1 for k={k}, n={n}")
         g = config.g if config.g is not None else infer_g(config.kind, k, n)
+        if not 1 <= g <= G_MAX:  # checked before classify_regime forms k**g
+            raise HypothesisError(f"--g must be between 1 and {G_MAX}, got {g}")
         regime = classify_regime(g, k, n)
         want = "minus_one" if config.kind == KIND_LSD3 else "plus_one"
         sign = "-1" if want == "minus_one" else "+1"
@@ -299,14 +281,12 @@ def run_lsd_experiment(config: ExperimentConfig) -> ExperimentReport:
     else:
         law = limits.LsdLaw.degenerate_circle(tol["radius"])
 
-    seeds = [derive_trial_seed(config.master_seed, i) for i in range(config.trials)]
-    spectral._structure(n, k % n)  # prime the shared partition cache
-
-    def one_trial(i: int) -> dict:
-        rng = np.random.default_rng(seeds[i])
-        a = config.law.sample(rng, n)
+    trials = []
+    for i in range(config.trials):
+        seed = derive_trial_seed(config.master_seed, i)
+        a = config.law.sample(np.random.default_rng(seed), n)
         sample = limits.esd(spectral.formula_spectrum(a, k, n))
-        record = {"trial": i, "seed": seeds[i]}
+        record = {"trial": i, "seed": seed}
         if config.kind == KIND_LSD2:
             record["band_mass"] = limits.band_mass(sample, tol["radius"], tol["epsilon"])
         else:
@@ -316,9 +296,7 @@ def run_lsd_experiment(config: ExperimentConfig) -> ExperimentReport:
                 record["angular_grid_dev"] = angular["max_grid_deviation"]
             else:
                 record["angular_ks"] = angular["uniform_ks"]
-        return record
-
-    trials = _map_trials(one_trial, config.trials)
+        trials.append(record)
 
     if config.kind == KIND_LSD2:
         aggregates = _aggregate(trials, ["band_mass"])
@@ -353,18 +331,14 @@ def run_gumbel_experiment(config: ExperimentConfig) -> ExperimentReport:
     q = n // 4
     norm = extremes.normalization(q)
     tol = config.tolerances
-    seeds = [derive_trial_seed(config.master_seed, i) for i in range(config.trials)]
-    spectral._structure(n, k % n)  # prime the shared partition cache
     scale = math.sqrt(n)
-
-    def one_trial(i: int) -> dict:
-        rng = np.random.default_rng(seeds[i])
-        a = config.law.sample(rng, n)
-        sp = extremes.spectral_radius(spectral.formula_spectrum(a, k, n)) / scale
-        return {"trial": i, "seed": seeds[i], "sp": sp,
-                "standardized": extremes.standardize_radius(sp, norm)}
-
-    trials = _map_trials(one_trial, config.trials)
+    trials = []
+    for i in range(config.trials):
+        seed = derive_trial_seed(config.master_seed, i)
+        a = config.law.sample(np.random.default_rng(seed), n)
+        sp = spectral.formula_radius(a, k, n) / scale
+        trials.append({"trial": i, "seed": seed, "sp": sp,
+                       "standardized": extremes.standardize_radius(sp, norm)})
     values = np.array([t["standardized"] for t in trials])
     aggregates = _aggregate(trials, ["standardized"])
     if config.trials >= 2:
@@ -403,9 +377,7 @@ def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
     trials = []
     failures = []
     worst = 0.0
-
-    def one_pair(idx: int) -> dict:
-        n, k = pairs[idx]
+    for idx, (n, k) in enumerate(pairs):
         tol = tol_factor * n
         pair_worst = 0.0
         pair_scatter = 0.0
@@ -438,15 +410,10 @@ def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
                   "zero_multiplicity": spectrum.zero_multiplicity, "ok": ok}
         if spectrum.zero_multiplicity:
             record["zero_cluster_scatter"] = pair_scatter
-        return record
-
-    results = _map_trials(one_pair, len(pairs))
-    for record in results:
-        worst = max(worst, record["max_distance"])
+        worst = max(worst, pair_worst)
         trials.append(record)
-        if not record["ok"]:
-            failures.append({"n": record["n"], "k": record["k"],
-                             "max_distance": record["max_distance"]})
+        if not ok:
+            failures.append({"n": n, "k": k, "max_distance": pair_worst})
 
     aggregates = {"pairs": len(pairs), "samples_per_pair": samples_per_pair,
                   "max_distance": worst, "failures": len(failures),

@@ -1,4 +1,4 @@
-"""Independent oracles used only by the test suite.
+"""Independent oracles and a CLI runner used only by the test suite.
 
 product_tail is the nested-quadrature tail of a product of exponentials that
 the Gil-Pelaez radial CDF in kcirculant.limits is checked against. The
@@ -12,10 +12,28 @@ in test_extremes.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from kcirculant._quadrature import quad_smooth
 
 EULER = 0.57721566490153286061
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args, timeout=None):
+    """Run a fresh interpreter that imports kcirculant from this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def kcirc(*args, timeout=None):
+    """Run the kcirc command line in a fresh process."""
+    return run_python("-m", "kcirculant", *args, timeout=timeout)
 
 
 def bessel_i1(z: float) -> float:

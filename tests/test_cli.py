@@ -1,19 +1,6 @@
 import json
-import os
-import subprocess
-import sys
 
-import pytest
-
-from kcirculant.montecarlo import _worker_count
-
-
-def kcirc(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "kcirculant", *args],
-                          capture_output=True, text=True, env=env)
+from helpers import kcirc
 
 
 class TestPartition:
@@ -154,6 +141,15 @@ class TestLsd:
         assert out.returncode == 2
         assert "bogus" in out.stderr
 
+    def test_huge_g_is_usage_error(self):
+        # 10^4 = 1 (mod 9999), so this g passes the congruence; it must be
+        # refused before 10**g is formed, not hang while that number grows
+        out = kcirc("lsd", "--theorem", "4", "--k", "10", "--n", "9999",
+                    "--g", "1000000000", timeout=5)
+        assert out.returncode == 2
+        assert "--g" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_missing_required_values(self):
         out = kcirc("lsd", "--theorem", "3")
         assert out.returncode == 2
@@ -220,30 +216,7 @@ class TestReproducibilityAcrossThreads:
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["lsd", "--theorem", "3", "--k", "10", "--n", "101",
                 "--trials", "4", "--seed", "77", "--tol-radial", "0.9"]
-        assert kcirc(*args, "--out", str(p1),
-                     env_extra={"KCIRC_THREADS": "1"}).returncode == 0
-        assert kcirc(*args, "--out", str(p2),
-                     env_extra={"KCIRC_THREADS": "4"}).returncode == 0
+        # two fresh processes, each building its own structure cache
+        assert kcirc(*args, "--out", str(p1)).returncode == 0
+        assert kcirc(*args, "--out", str(p2)).returncode == 0
         assert p1.read_bytes() == p2.read_bytes()
-
-
-class TestThreadsVariable:
-    LSD = ("lsd", "--theorem", "3", "--k", "10", "--n", "101", "--trials", "2",
-           "--tol-radial", "0.9")
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-    def test_bad_value_is_usage_error(self, value):
-        out = kcirc(*self.LSD, env_extra={"KCIRC_THREADS": value})
-        assert out.returncode == 2
-        assert "KCIRC_THREADS" in out.stderr
-        assert "Traceback" not in out.stderr
-
-    def test_capped_at_cpu_count(self, monkeypatch):
-        monkeypatch.setenv("KCIRC_THREADS", "100000")
-        assert _worker_count(780) == min(os.cpu_count() or 1, 780)
-        assert _worker_count(1) == 1
-
-    def test_default_unchanged(self, monkeypatch):
-        monkeypatch.delenv("KCIRC_THREADS", raising=False)
-        assert _worker_count(780) == min(os.cpu_count() or 1, 8)
-        assert _worker_count(1) == 1

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import run_python
 from kcirculant.montecarlo import (
     DEFAULT_MASTER_SEED,
+    G_MAX,
     ExperimentConfig,
     HypothesisError,
     INPUT_LAWS,
@@ -83,6 +85,13 @@ class TestHypothesisChecks:
     def test_plus_one_g1_needs_k1(self):
         cfg = ExperimentConfig(kind=KIND_LSD4, k=3, n=10, g=1, trials=1)
         with pytest.raises(HypothesisError):
+            hypothesis_check(cfg)
+
+    @pytest.mark.parametrize("g", [0, -2, G_MAX + 1, 10**9])
+    def test_g_outside_range_rejected(self, g):
+        # refused before the congruence, which would form 10**g
+        cfg = ExperimentConfig(kind=KIND_LSD4, k=10, n=9999, g=g, trials=1)
+        with pytest.raises(HypothesisError, match="--g"):
             hypothesis_check(cfg)
 
     def test_degenerate_circle_needs_coprime(self):
@@ -195,24 +204,31 @@ class TestOracleSweep:
             oracle_sweep(129, 1, master_seed=0)
 
 
+def fresh_report(runner: str, cfg: dict) -> str:
+    """The JSON report of runner(ExperimentConfig(**cfg)) from a new interpreter."""
+    code = ("import sys\nfrom kcirculant.montecarlo import *\n"
+            f"sys.stdout.write({runner}(ExperimentConfig(**{cfg!r})).to_json())")
+    out = run_python("-c", code)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 class TestReproducibility:
-    def test_threaded_run_matches_serial(self, monkeypatch):
+    # each report is built twice in fresh processes (cold structure cache)
+    # and once here, where the cache may be warm; all three must agree
+    def test_threaded_run_matches_serial(self):
         cfg = dict(kind=KIND_LSD3, k=10, n=101, trials=6, master_seed=123,
                    tolerances={"radial_ks_mean": 1.0})
-        monkeypatch.setenv("KCIRC_THREADS", "1")
-        serial = run_lsd_experiment(ExperimentConfig(**cfg)).to_json()
-        monkeypatch.setenv("KCIRC_THREADS", "4")
-        threaded = run_lsd_experiment(ExperimentConfig(**cfg)).to_json()
-        assert serial == threaded
+        first = fresh_report("run_lsd_experiment", cfg)
+        assert first == fresh_report("run_lsd_experiment", cfg)
+        assert first == run_lsd_experiment(ExperimentConfig(**cfg)).to_json()
 
-    def test_gumbel_threaded_matches_serial(self, monkeypatch):
+    def test_gumbel_threaded_matches_serial(self):
         cfg = dict(kind=KIND_GUMBEL, k=10, n=101, trials=8, master_seed=321,
                    tolerances={"ks_gumbel": 1.0, "ks_reference": 1.0})
-        monkeypatch.setenv("KCIRC_THREADS", "1")
-        serial = run_gumbel_experiment(ExperimentConfig(**cfg)).to_json()
-        monkeypatch.setenv("KCIRC_THREADS", "3")
-        threaded = run_gumbel_experiment(ExperimentConfig(**cfg)).to_json()
-        assert serial == threaded
+        first = fresh_report("run_gumbel_experiment", cfg)
+        assert first == fresh_report("run_gumbel_experiment", cfg)
+        assert first == run_gumbel_experiment(ExperimentConfig(**cfg)).to_json()
 
     def test_default_seed_is_stable(self):
         assert DEFAULT_MASTER_SEED == 20260811

@@ -1,9 +1,12 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kcirculant.extremes import spectral_radius
 from kcirculant.numtheory import decompose, eigen_partition
 from kcirculant.spectral import (
     as_input_sequence,
@@ -14,9 +17,20 @@ from kcirculant.spectral import (
     dft,
     dft_naive,
     export_spectrum_csv,
+    formula_radius,
     formula_spectrum,
     spectra_match,
 )
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def k_n_pairs(draw, n_max=256):
+    """Any 1 <= k < n <= n_max, so gcd(k, n) > 1 is drawn often."""
+    n = draw(st.integers(2, n_max))
+    return draw(st.integers(1, n - 1)), n
 
 
 class TestBuildMatrix:
@@ -236,6 +250,41 @@ class TestFormulaSpectrum:
         spectrum = formula_spectrum(a, 1, 2)
         dist, ok = spectra_match(spectrum.eigenvalues, [3.5, 2.5], 1e-12)
         assert ok, dist
+
+
+class TestFormulaRadius:
+    @PROPERTY
+    @given(pair=k_n_pairs(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_spectrum_radius(self, pair, seed):
+        k, n = pair
+        a = np.random.default_rng(seed).standard_normal(n)
+        full = spectral_radius(formula_spectrum(a, k, n))
+        assert abs(formula_radius(a, k, n) - full) <= 4 * EPS * full
+
+    @PROPERTY
+    @given(k=st.integers(1, 15), seed=st.integers(0, 2**32 - 1))
+    def test_exact_on_k_squared_plus_one(self, k, seed):
+        n = k * k + 1
+        a = np.random.default_rng(seed).standard_normal(n)
+        assert formula_radius(a, k, n) == spectral_radius(formula_spectrum(a, k, n))
+
+    @PROPERTY
+    @given(pair=k_n_pairs())
+    def test_zero_dft_values(self, pair):
+        k, n = pair
+        difference = np.zeros(n)
+        difference[:2] = 1.0, -1.0  # lambda_0 is exactly 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # all ones: lambda_0 = n, every other DFT value is (nearly) 0
+            assert formula_radius(np.ones(n), k, n) == pytest.approx(n, rel=4 * EPS)
+            assert formula_radius(np.zeros(n), k, n) == 0.0
+            full = spectral_radius(formula_spectrum(difference, k, n))
+            assert formula_radius(difference, k, n) == pytest.approx(full, rel=4 * EPS)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="does not match"):
+            formula_radius(np.ones(5), 2, 6)
 
 
 class TestDenseOracle:
