@@ -13,12 +13,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections import Counter
 
 import numpy as np
 
 from . import extremes, montecarlo, spectral
-from .numtheory import decompose, eigen_partition, upsilon
+from .numtheory import decompose, eigen_partition
 from .seeding import derive_trial_seed
 
 EXIT_PASS = 0
@@ -71,9 +70,10 @@ def _fill_from_config(args, types: dict, fallbacks: dict) -> None:
 def cmd_partition(args) -> int:
     params = decompose(args.n, args.k)
     part = eigen_partition(params)
-    ups = upsilon(params)
-    hist = Counter(part.sizes)
-    self_conj = sum(1 for j in range(part.block_count) if part.is_self_conjugate(j))
+    ups = part.upsilon
+    values, counts = np.unique(part.sizes, return_counts=True)
+    hist = dict(zip(values.tolist(), counts.tolist()))
+    self_conj = int(part.self_conjugate.sum())
     if args.json:
         import json
         payload = {

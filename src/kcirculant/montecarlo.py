@@ -241,16 +241,14 @@ def hypothesis_check(config: ExperimentConfig) -> dict:
             raise HypothesisError(f"spectral-radius experiments need n = k^2 + 1; "
                                   f"got k={k}, n={n} (k^2+1 = {k * k + 1})")
         partition = eigen_partition(decompose(n, k))
-        allowed_singletons = {0} | ({n // 2} if n % 2 == 0 else set())
-        for j, blk in enumerate(partition.blocks):
-            if len(blk) == 4:
-                continue
-            if len(blk) == 1 and blk[0] in allowed_singletons:
-                continue
+        sizes, first = partition.sizes, partition.members[partition.starts]
+        allowed = (sizes == 4) | ((sizes == 1) & ((first == 0) | (2 * first == n)))
+        if not allowed.all():
+            blk = partition.blocks[int(np.argmin(allowed))]
             raise HypothesisError(f"partition block {blk} is neither a 4-block "
                                   f"nor an allowed singleton")
         return {"q": n // 4, "g1": partition.g1,
-                "four_blocks": sum(1 for s in partition.sizes if s == 4)}
+                "four_blocks": int(np.count_nonzero(sizes == 4))}
     raise ValueError(f"unknown kind {config.kind!r}")
 
 
@@ -268,10 +266,10 @@ def run_lsd_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Limit-law experiment: per trial, draw an input, take the exact spectrum,
     and measure the ESD against the configured law."""
     t0 = time.perf_counter()
-    hypothesis = hypothesis_check(config)
     k, n = config.k, config.n
     if n > DFT_EXPERIMENT_CAP:
         raise ValueError(f"n = {n} exceeds the experiment cap of {DFT_EXPERIMENT_CAP}")
+    hypothesis = hypothesis_check(config)
     tol = config.tolerances
 
     if config.kind == KIND_LSD3:
@@ -324,10 +322,10 @@ def run_gumbel_experiment(config: ExperimentConfig) -> ExperimentReport:
     i.i.d.-maximum reference drawn from an auxiliary seed stream.
     """
     t0 = time.perf_counter()
-    hypothesis = hypothesis_check(config)
     k, n = config.k, config.n
     if n > DFT_EXPERIMENT_CAP:
         raise ValueError(f"n = {n} exceeds the experiment cap of {DFT_EXPERIMENT_CAP}")
+    hypothesis = hypothesis_check(config)
     q = n // 4
     norm = extremes.normalization(q)
     tol = config.tolerances

@@ -1,9 +1,10 @@
 """Exact integer machinery behind the k-circulant eigenvalue formula.
 
-Everything in this module is pure integer arithmetic: the common-factor
-decomposition of (k, n), the orbits of t -> t*k (mod n') that partition Z_{n'},
-orbit orders and conjugacy, and the counting quantities that measure how many
-elements sit in orbits smaller than the largest one.
+Everything in this module is exact integer arithmetic, on Python ints and
+numpy integer arrays: the common-factor decomposition of (k, n), the orbits of
+t -> t*k (mod n') that partition Z_{n'}, orbit orders and conjugacy, and the
+counting quantities that measure how many elements sit in orbits smaller than
+the largest one.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 __all__ = [
     "KCirculantParams",
@@ -84,17 +87,6 @@ class KCirculantParams:
         """Number of structurally zero eigenvalues, n - n'."""
         return self.n - self.n_prime
 
-    @property
-    def nilpotency_index(self) -> int:
-        """Smallest m with t*k^m mod n constant on residue fibres: max ceil(beta/alpha).
-
-        Controls how defective the zero eigenvalue is (Jordan chains of this
-        length), hence how far a dense eigensolver scatters the zero cluster.
-        """
-        if not self.common_primes:
-            return 0
-        return max(-(-beta // alpha) for _, alpha, beta in self.common_primes)
-
 
 def decompose(n: int, k: int) -> KCirculantParams:
     """Reduce k mod n and split the common prime factors out of (k, n).
@@ -145,103 +137,122 @@ def orbit(x: int, k: int, n_prime: int) -> tuple[list[int], int]:
 
 
 def multiplicative_order(k: int, m: int) -> int:
-    """Least b > 0 with k^b = 1 (mod m); order 1 by convention when m = 1."""
+    """Least b > 0 with k^b = 1 (mod m); order 1 by convention when m = 1.
+
+    The order divides the Carmichael exponent lambda(m), so it is found by
+    dividing prime factors out of lambda(m) while k^(order/p) stays 1.
+    """
     if m < 1:
         raise ValueError("modulus must be positive")
     if m == 1:
         return 1
     if math.gcd(k, m) != 1:
         raise ValueError("k must be invertible mod m")
-    y = k % m
     order = 1
-    while y != 1:
-        y = y * k % m
-        order += 1
+    for p, e in factorize(m):
+        lam = 2 ** (e - 2) if p == 2 and e >= 3 else p ** (e - 1) * (p - 1)
+        order = math.lcm(order, lam)
+    for p, _ in factorize(order):
+        while order % p == 0 and pow(k, order // p, m) == 1:
+            order //= p
     return order
 
 
-@dataclass(frozen=True)
+# Largest n' whose orbits are enumerated. The kernel peaks at about 56 bytes
+# per element (measured: 56 MB at n' = 10**6), so this cap bounds it near
+# 560 MB, and keeps t * k and label * n' far below 2**63 and n' below 2**31.
+ORBIT_CAP = 10**7
+
+
+@dataclass(frozen=True, eq=False)
 class EigenPartition:
     """Partition of Z_{n'} into orbits of t -> t*k (mod n').
 
-    blocks are sorted tuples listed by ascending smallest member, so
-    blocks[0] == (0,). g1 is the orbit size of 1 (every other orbit size
-    divides it). conjugate_block[j] holds the index of the block containing
-    the reflections n' - t of block j; it equals j exactly for blocks that
-    are their own reflection.
+    Blocks are listed by ascending smallest member, each ascending inside, so
+    block 0 is {0}. members holds all blocks concatenated; block j is
+    members[starts[j] : starts[j] + sizes[j]]. g1 is the orbit size of 1
+    (every other orbit size divides it). conjugate[j] is the index of the
+    block holding the reflections n' - t of block j; it equals j exactly for
+    blocks that are their own reflection. The tuple views blocks and
+    conjugate_block are built on demand.
     """
 
     n_prime: int
     k: int
-    blocks: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]
+    members: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
     g1: int
-    conjugate_block: tuple[int, ...]
+    conjugate: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.members, self.starts, self.sizes, self.conjugate):
+            arr.setflags(write=False)  # shared through the spectral structure cache
 
     def is_self_conjugate(self, j: int) -> bool:
-        return self.conjugate_block[j] == j
+        return bool(self.conjugate[j] == j)
+
+    @property
+    def self_conjugate(self) -> np.ndarray:
+        """Boolean mask of the blocks that are their own reflection."""
+        return self.conjugate == np.arange(self.conjugate.size)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return int(self.sizes.size)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(b.tolist()) for b in np.split(self.members, self.starts[1:]))
+
+    @property
+    def conjugate_block(self) -> tuple[int, ...]:
+        return tuple(self.conjugate.tolist())
+
+    @property
+    def upsilon(self) -> Fraction:
+        """Fraction of Z_{n'} in orbits strictly smaller than g1."""
+        return Fraction(int(self.sizes[self.sizes < self.g1].sum()), self.n_prime)
 
 
 def eigen_partition(params: KCirculantParams) -> EigenPartition:
-    """Enumerate all orbits of multiplication by k on Z_{n'} with conjugacy tags."""
+    """All orbits of multiplication by k on Z_{n'}, with conjugacy tags.
+
+    Labels each t with the smallest member of its orbit by pointer doubling:
+    after round r, label[t] is the minimum over t*k^j for j < 2^(r+1), and
+    ceil(log2 g1) rounds cover every orbit, since orbit sizes divide g1.
+    A stable sort by label then lists the blocks.
+    """
     m = params.n_prime
+    if m > ORBIT_CAP:
+        raise ValueError(f"n' = {m} exceeds the orbit enumeration cap of {ORBIT_CAP}")
     kp = params.k % m if m > 1 else 0
-    seen = bytearray(m)
-    blocks = []
-    block_of = [0] * m
-    for x in range(m):
-        if seen[x]:
-            continue
-        seen[x] = 1
-        members = [x]
-        y = x * kp % m
-        while y != x:
-            seen[y] = 1
-            members.append(y)
-            y = y * kp % m
-        members.sort()
-        idx = len(blocks)
-        blocks.append(tuple(members))
-        for t in members:
-            block_of[t] = idx
-    sizes = tuple(len(b) for b in blocks)
-    g1 = sizes[block_of[1]] if m > 1 else 1
+    g1 = multiplicative_order(kp, m)
+    t = np.arange(m, dtype=np.int64)
+    # int32 halves the memory the gathers touch; n' <= ORBIT_CAP < 2**31
+    label = t.astype(np.int32)
+    step = (t * kp % m).astype(np.int32)  # t -> t*k^(2^r) mod n' in round r
+    for _ in range((g1 - 1).bit_length()):
+        np.minimum(label, label.take(step), out=label)
+        step = step.take(step)
+    keys = np.sort(label.astype(np.int64) * m + t)  # distinct keys: a stable sort by label
+    members = keys % m
+    starts = np.flatnonzero(np.diff(keys // m, prepend=-1))
+    sizes = np.diff(starts, append=m)
+    mins = members[starts]
     # reflection is constant on blocks, so one representative suffices
-    conj = tuple(block_of[(m - b[0]) % m] for b in blocks)
-    return EigenPartition(n_prime=m, k=params.k, blocks=tuple(blocks), sizes=sizes,
-                          g1=g1, conjugate_block=conj)
+    conjugate = np.searchsorted(mins, label[(m - mins) % m])
+    return EigenPartition(n_prime=m, k=params.k, members=members, starts=starts,
+                          sizes=sizes, g1=g1, conjugate=conjugate)
 
 
 def upsilon(params: KCirculantParams) -> Fraction:
     """Fraction of Z_{n'} sitting in orbits strictly smaller than the largest.
 
-    Computed by walking every orbit once (direct enumeration), so it serves as
-    the ground truth the inclusion-exclusion count is checked against.
+    Read off the orbit sizes of the partition, so it is checked against the
+    independent inclusion-exclusion count in lower_order_count_ie.
     """
-    m = params.n_prime
-    if m == 1:
-        return Fraction(0, 1)
-    kp = params.k % m
-    g1 = multiplicative_order(kp, m)
-    seen = bytearray(m)
-    lower = 0
-    for x in range(m):
-        if seen[x]:
-            continue
-        seen[x] = 1
-        size = 1
-        y = x * kp % m
-        while y != x:
-            seen[y] = 1
-            size += 1
-            y = y * kp % m
-        if size < g1:
-            lower += size
-    return Fraction(lower, m)
+    return eigen_partition(params).upsilon
 
 
 def lower_order_count_ie(params: KCirculantParams) -> int:
@@ -313,9 +324,8 @@ def classify_regime(g: int, k: int, n: int) -> RegimeClassification:
         raise ValueError("need n >= 2 and k >= 1")
     if math.gcd(k, n) != 1:
         raise ValueError("classify_regime requires gcd(k, n) = 1")
-    params = decompose(n, k)
-    g1 = multiplicative_order(params.k, n)
-    ups = upsilon(params)
+    part = eigen_partition(decompose(n, k))
+    g1, ups = part.g1, part.upsilon
     kg_mod = pow(k, g, n)
     if kg_mod == n - 1:
         return RegimeClassification("minus_one", (k**g + 1) // n, g, g1, ups)

@@ -111,22 +111,14 @@ class _BlockArrays:
 def _block_arrays(partition: EigenPartition, n: int) -> _BlockArrays:
     m = partition.n_prime
     y = n // m
-    flat = np.fromiter((t for blk in partition.blocks for t in blk), dtype=np.int64,
-                       count=m) * y
-    sizes = np.asarray(partition.sizes, dtype=np.int64)
-    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    self_conj = np.fromiter((partition.is_self_conjugate(j)
-                             for j in range(partition.block_count)),
-                            dtype=bool, count=partition.block_count)
     specials = [(0, 0)]  # block 0 is always {0}
-    if m % 2 == 0:
+    if m % 2 == 0:  # n'/2 is then a singleton, the block whose smallest member it is
         half = m // 2
-        for j, blk in enumerate(partition.blocks):
-            if blk[0] == half:
-                specials.append((j, half * y))
-                break
-    return _BlockArrays(dft_indices=flat, sizes=sizes, starts=starts,
-                        self_conj=self_conj, sign_specials=tuple(specials))
+        j = int(np.searchsorted(partition.members[partition.starts], half))
+        specials.append((j, half * y))
+    return _BlockArrays(dft_indices=partition.members * y, sizes=partition.sizes,
+                        starts=partition.starts, self_conj=partition.self_conjugate,
+                        sign_specials=tuple(specials))
 
 
 @lru_cache(maxsize=64)
@@ -197,11 +189,15 @@ class SpectrumResult:
 
 def block_products(dft_values, partition: EigenPartition,
                    params: KCirculantParams) -> np.ndarray:
-    """Products Pi_j of DFT values lambda_{t * n/n'} over each partition block."""
+    """Products Pi_j of DFT values lambda_{t * n/n'} over each partition block.
+
+    partition is eigen_partition(params); the block arrays come from the
+    cached structure of (n, k).
+    """
     lam = np.asarray(dft_values, dtype=complex)
     if lam.size != params.n:
         raise ValueError("DFT length must equal n")
-    arrays = _block_arrays(partition, params.n)
+    arrays = _structure(params.n, params.k)[2]
     log_mod, theta = _log_block_products(lam, arrays)
     return _assemble_products(log_mod, theta, arrays)
 
@@ -287,7 +283,7 @@ def det_probe_oracle(a, k: int, n: int, trial_points) -> list[DetProbe]:
         raise ValueError("determinant probes are capped at n <= 512")
     A = build_matrix(a, k, n)
     spectrum = formula_spectrum(a, k, n)
-    arrays = _block_arrays(spectrum.partition, n)
+    arrays = _structure(n, k % n)[2]
     log_mod, theta = _log_block_products(spectrum.dft, arrays)
     scale = math.sqrt(n)
     B = A / scale

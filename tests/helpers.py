@@ -1,5 +1,7 @@
 """Independent oracles and a CLI runner used only by the test suite.
 
+orbit_walk is the pure-Python enumeration of the orbits of t -> t*k (mod n')
+that the vectorized kcirculant.numtheory.eigen_partition is checked against.
 product_tail is the nested-quadrature tail of a product of exponentials that
 the Gil-Pelaez radial CDF in kcirculant.limits is checked against. The
 modified Bessel function K1 here is a from-scratch series/asymptotic
@@ -15,6 +17,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from kcirculant._quadrature import quad_smooth
@@ -34,6 +37,38 @@ def run_python(*args, timeout=None):
 def kcirc(*args, timeout=None):
     """Run the kcirc command line in a fresh process."""
     return run_python("-m", "kcirculant", *args, timeout=timeout)
+
+
+def orbit_walk(n_prime: int, k: int) -> dict:
+    """Walk every orbit of t -> t*k (mod n') one element at a time.
+
+    Returns blocks (sorted tuples by ascending smallest member), sizes, g1,
+    conjugate_block and upsilon, the same quantities EigenPartition exposes.
+    """
+    m = n_prime
+    kp = k % m if m > 1 else 0
+    seen = bytearray(m)
+    blocks = []
+    block_of = [0] * m
+    for x in range(m):
+        if seen[x]:
+            continue
+        seen[x] = 1
+        members = [x]
+        y = x * kp % m
+        while y != x:
+            seen[y] = 1
+            members.append(y)
+            y = y * kp % m
+        members.sort()
+        for t in members:
+            block_of[t] = len(blocks)
+        blocks.append(tuple(members))
+    sizes = tuple(len(b) for b in blocks)
+    g1 = sizes[block_of[1]] if m > 1 else 1
+    return {"blocks": tuple(blocks), "sizes": sizes, "g1": g1,
+            "conjugate_block": tuple(block_of[(m - b[0]) % m] for b in blocks),
+            "upsilon": Fraction(sum(s for s in sizes if s < g1), m)}
 
 
 def bessel_i1(z: float) -> float:

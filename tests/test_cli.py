@@ -39,6 +39,13 @@ class TestPartition:
         out = kcirc("partition", "--k", "x", "--n", "5")
         assert out.returncode == 2
 
+    def test_n_above_orbit_cap_is_usage_error(self):
+        # refused before any array of length n' is allocated
+        out = kcirc("partition", "--k", "3", "--n", "1000000000000", timeout=5)
+        assert out.returncode == 2
+        assert "cap" in out.stderr
+        assert "Traceback" not in out.stderr
+
 
 class TestSpectrum:
     def test_delta_roots_of_unity(self, tmp_path):
@@ -148,6 +155,15 @@ class TestLsd:
                     "--g", "1000000000", timeout=5)
         assert out.returncode == 2
         assert "--g" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_n_above_experiment_cap_is_usage_error(self):
+        # gcd(2, n) = 1, so only the cap, checked before the hypothesis work
+        # walks the orbits of n, stops this run
+        out = kcirc("lsd", "--theorem", "2", "--k", "2", "--n", "1000000000001",
+                    timeout=5)
+        assert out.returncode == 2
+        assert "experiment cap" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_missing_required_values(self):

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from helpers import orbit_walk
 from kcirculant.numtheory import (
+    ORBIT_CAP,
     classify_regime,
     decompose,
     eigen_partition,
@@ -133,6 +136,40 @@ class TestEigenPartition:
                     assert t % divisor == 0
 
 
+def assert_matches_orbit_walk(n, k):
+    params = decompose(n, k)
+    part = eigen_partition(params)
+    want = orbit_walk(params.n_prime, params.k)
+    assert part.blocks == want["blocks"]
+    assert tuple(part.sizes.tolist()) == want["sizes"]
+    assert part.conjugate_block == want["conjugate_block"]
+    assert part.g1 == want["g1"]
+    assert part.upsilon == upsilon(params) == want["upsilon"]
+
+
+class TestEigenPartitionAgainstOrbitWalk:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 4096), k=st.integers(1, 4095))
+    def test_random_pairs(self, n, k):
+        assume(k % n)
+        assert_matches_orbit_walk(n, k)
+
+    @pytest.mark.parametrize("k,n", [
+        (12345, 100001),   # generic: composite n, coprime k
+        (316, 99857),      # n = k^2 + 1
+        (4, 100042),       # k shares the prime 2 with n; n' = 50021
+        (2, 100003),       # prime n with primitive root k: one orbit of size n - 1
+    ])
+    def test_large_pairs(self, k, n):
+        assert_matches_orbit_walk(n, k)
+
+    def test_cap_rejects_before_allocating(self):
+        with pytest.raises(ValueError, match="cap"):
+            eigen_partition(decompose(10**12, 3))
+        with pytest.raises(ValueError, match="cap"):
+            upsilon(decompose(ORBIT_CAP + 2, 1))
+
+
 class TestCounting:
     def test_upsilon_examples(self):
         assert upsilon(decompose(5, 1)) == 0
@@ -232,5 +269,14 @@ class TestMultiplicativeOrder:
             k = rnd.randrange(1, m)
             if math.gcd(k, m) != 1:
                 continue
+            _, g = orbit(1 % m, k, m)
+            assert multiplicative_order(k, m) == g
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 16, 64, 1024, 4096,
+                                   3, 9, 3**7, 5**4, 7**3, 11**2, 13**2, 2003])
+    def test_prime_powers_agree_with_orbit_of_one(self, m):
+        # lambda(2^e) = 2^(e-2) for e >= 3 is half of phi(2^e)
+        ks = [k for k in range(1, max(m, 2)) if math.gcd(k, m) == 1]
+        for k in ks[:400]:
             _, g = orbit(1 % m, k, m)
             assert multiplicative_order(k, m) == g
