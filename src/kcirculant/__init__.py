@@ -46,7 +46,6 @@ from .limits import (
 )
 from .extremes import (
     GumbelNormalization,
-    QuadratureError,
     gumbel_cdf,
     normalization,
     kbar,

@@ -17,7 +17,8 @@ import sys
 import numpy as np
 
 from . import extremes, montecarlo, spectral
-from .numtheory import decompose, eigen_partition
+from ._textio import write_text
+from .numtheory import ORBIT_CAP, decompose, eigen_partition
 from .seeding import derive_trial_seed
 
 EXIT_PASS = 0
@@ -27,16 +28,13 @@ EXIT_IO = 3
 
 
 def _write_text(path: str, data: str) -> None:
-    if path == "-":
-        sys.stdout.write(data)
-        return
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(data)
+    """Write data to the file at path, or to stdout for "-"."""
+    write_text(sys.stdout if path == "-" else path, data)
 
 
-def _load_flat_config(path: str) -> dict:
-    """Read a flat key=value file whose keys mirror the CLI flags."""
-    out = {}
+def _config_tokens(path: str) -> list[str]:
+    """Turn a flat key=value file, keys named as flags, into --key=value tokens."""
+    tokens = []
     with open(path, encoding="ascii") as fh:
         for raw in fh:
             line = raw.strip()
@@ -45,26 +43,8 @@ def _load_flat_config(path: str) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"bad config line (expected key=value): {line!r}")
-            out[key.strip().lower().replace("-", "_")] = value.strip()
-    return out
-
-
-def _fill_from_config(args, types: dict, fallbacks: dict) -> None:
-    """Overlay config-file values under explicit flags, then apply defaults.
-
-    Flags parsed as None were not given on the command line; they take the
-    config-file value when present, else the fallback default.
-    """
-    values = _load_flat_config(args.config) if args.config else {}
-    unknown = set(values) - set(types)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for name, cast in types.items():
-        if getattr(args, name) is None:
-            if name in values:
-                setattr(args, name, cast(values[name]))
-            elif name in fallbacks:
-                setattr(args, name, fallbacks[name])
+            tokens.append(f"--{key.strip().lower().replace('_', '-')}={value.strip()}")
+    return tokens
 
 
 def cmd_partition(args) -> int:
@@ -164,41 +144,31 @@ def cmd_spectrum(args) -> int:
         args.law = "gaussian"
     if args.trials is None:
         args.trials = 1
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if not 2 <= args.n <= ORBIT_CAP:
+        raise ValueError(f"--n must be between 2 and the orbit enumeration cap "
+                         f"{ORBIT_CAP}, got {args.n}")
     n = args.n
     scale = 1.0 / math.sqrt(n)
     clouds = []
     for t in range(args.trials):
         a = _draw_input(args.law, derive_trial_seed(args.seed, t), n)
         clouds.append(spectral.formula_spectrum(a, args.k, n))
-    try:
-        if args.format == "svg":
-            pts = np.concatenate([c.eigenvalues for c in clouds]) * scale
-            data = _render_svg(pts, f"k={args.k} n={n} law={args.law} "
-                                    f"trials={args.trials}")
-            _write_text(args.out, data)
-        else:
-            if args.out == "-":
-                for i, cloud in enumerate(clouds):
-                    spectral.export_spectrum_csv(cloud, sys.stdout, scale=scale,
-                                                 append=i > 0)
-            else:
-                with open(args.out, "w", encoding="ascii") as fh:
-                    for i, cloud in enumerate(clouds):
-                        spectral.export_spectrum_csv(cloud, fh, scale=scale,
-                                                     append=i > 0)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    if args.format == "svg":
+        pts = np.concatenate([c.eigenvalues for c in clouds]) * scale
+        _write_text(args.out, _render_svg(pts, f"k={args.k} n={n} law={args.law} "
+                                               f"trials={args.trials}"))
+    else:
+        out = sys.stdout if args.out == "-" else args.out
+        for i, cloud in enumerate(clouds):
+            spectral.export_spectrum_csv(cloud, out, scale=scale, append=i > 0)
     return EXIT_PASS
 
 
 def _finish_experiment(report, out_path) -> int:
     if out_path:
-        try:
-            _write_text(out_path, report.to_json())
-        except OSError as exc:
-            print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write_text(out_path, report.to_json())
     verdict = "PASS" if report.passed else "FAIL"
     agg = " ".join(f"{key}={val:.6g}" for key, val in sorted(report.aggregates.items())
                    if isinstance(val, (int, float)) and not isinstance(val, bool))
@@ -206,75 +176,49 @@ def _finish_experiment(report, out_path) -> int:
     return EXIT_PASS if report.passed else EXIT_STAT_FAIL
 
 
-_LSD_OPTION_TYPES = {
-    "theorem": int, "k": int, "n": int, "g": int, "law": str, "trials": int,
-    "seed": int, "out": str, "tol_radial": float, "tol_angular": float,
-    "tol_band": float, "radius": float, "epsilon": float,
+# Each tolerance flag and the tolerance keys it may set. An experiment takes
+# the keys its kind has: --tol-angular bounds the angular KS mean at theorem 4
+# and the angular grid deviation at theorem 3.
+_TOLERANCE_FLAGS = {
+    "tol_radial": ("radial_ks_mean",),
+    "tol_angular": ("angular_ks_mean", "angular_grid_dev"),
+    "tol_band": ("band_mass_min",),
+    "radius": ("radius",),
+    "epsilon": ("epsilon",),
+    "tol_gumbel": ("ks_gumbel",),
+    "tol_reference": ("ks_reference",),
 }
+
+
+def _experiment_config(args, kind: str, **fields) -> montecarlo.ExperimentConfig:
+    """The experiment the parsed flags describe; inapplicable flags exit 2."""
+    tolerances = {}
+    for dest, keys in _TOLERANCE_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        applicable = [key for key in keys if key in montecarlo.DEFAULT_TOLERANCES[kind]]
+        if not applicable:
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to {kind}")
+        tolerances.update(dict.fromkeys(applicable, value))
+    return montecarlo.ExperimentConfig(kind=kind, law=args.law, trials=args.trials,
+                                       master_seed=args.seed, tolerances=tolerances,
+                                       **fields)
 
 
 def cmd_lsd(args) -> int:
-    _fill_from_config(args, _LSD_OPTION_TYPES,
-                      {"law": "gaussian", "trials": 5,
-                       "seed": montecarlo.DEFAULT_MASTER_SEED})
-    if args.theorem not in (2, 3, 4):
-        raise ValueError("lsd needs --theorem 2, 3 or 4 (flag or config file)")
-    if args.k is None or args.n is None:
-        raise ValueError("lsd needs --k and --n (flags or config file)")
     kind = {2: montecarlo.KIND_LSD2, 3: montecarlo.KIND_LSD3,
             4: montecarlo.KIND_LSD4}[args.theorem]
-    overrides = {}
-    if args.tol_radial is not None:
-        overrides["radial_ks_mean"] = args.tol_radial
-    if args.tol_angular is not None:
-        if kind == montecarlo.KIND_LSD3:
-            overrides["angular_grid_dev"] = args.tol_angular
-        else:
-            overrides["angular_ks_mean"] = args.tol_angular
-    if args.tol_band is not None:
-        overrides["band_mass_min"] = args.tol_band
-    if args.radius is not None:
-        overrides["radius"] = args.radius
-    if args.epsilon is not None:
-        overrides["epsilon"] = args.epsilon
-    config = montecarlo.ExperimentConfig(kind=kind, k=args.k, n=args.n, g=args.g,
-                                         law=args.law, trials=args.trials,
-                                         master_seed=args.seed,
-                                         tolerances=overrides)
-    report = montecarlo.run_lsd_experiment(config)
-    return _finish_experiment(report, args.out)
-
-
-_GUMBEL_OPTION_TYPES = {
-    "kk": int, "law": str, "trials": int, "seed": int, "out": str, "csv": str,
-    "tol_gumbel": float, "tol_reference": float,
-}
+    config = _experiment_config(args, kind, k=args.k, n=args.n, g=args.g)
+    return _finish_experiment(montecarlo.run_lsd_experiment(config), args.out)
 
 
 def cmd_gumbel(args) -> int:
-    _fill_from_config(args, _GUMBEL_OPTION_TYPES,
-                      {"law": "gaussian", "trials": 1000,
-                       "seed": montecarlo.DEFAULT_MASTER_SEED})
-    if args.kk is None:
-        raise ValueError("gumbel needs --kk (flag or config file)")
-    k = args.kk
-    n = k * k + 1
-    overrides = {}
-    if args.tol_gumbel is not None:
-        overrides["ks_gumbel"] = args.tol_gumbel
-    if args.tol_reference is not None:
-        overrides["ks_reference"] = args.tol_reference
-    config = montecarlo.ExperimentConfig(kind=montecarlo.KIND_GUMBEL, k=k, n=n,
-                                         law=args.law, trials=args.trials,
-                                         master_seed=args.seed,
-                                         tolerances=overrides)
+    config = _experiment_config(args, montecarlo.KIND_GUMBEL, k=args.kk,
+                                n=args.kk * args.kk + 1)
     report = montecarlo.run_gumbel_experiment(config)
     if args.csv:
-        try:
-            extremes.export_radii_csv(report.trials, args.csv)
-        except OSError as exc:
-            print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        extremes.export_radii_csv(report.trials, args.csv)
     return _finish_experiment(report, args.out)
 
 
@@ -282,11 +226,7 @@ def cmd_verify(args) -> int:
     report = montecarlo.oracle_sweep(args.nmax, args.samples, args.seed,
                                      fuzz=args.fuzz)
     if args.out:
-        try:
-            _write_text(args.out, report.to_json())
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+        _write_text(args.out, report.to_json())
     agg = report.aggregates
     verdict = "PASS" if report.passed else "FAIL"
     print(f"{verdict} pairs={agg['pairs']} samples={agg['samples_per_pair']} "
@@ -302,6 +242,9 @@ def cmd_tail(args) -> int:
     xs = [float(v) for chunk in args.x for v in chunk.replace(",", " ").split()]
     if not xs:
         raise ValueError("tail needs at least one x value")
+    for x in xs:
+        if not 0.0 <= x < math.inf:
+            raise ValueError(f"--x must be finite and nonnegative, got {x}")
     print(f"{'x':>12} {'tail':>16} {'asymptotic':>16} {'ratio':>10}")
     for x in xs:
         kb = extremes.kbar(x)
@@ -341,18 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("lsd", help="limit-law experiment "
-                                   "(2 = degenerate circle, 3 = roots-of-unity "
-                                   "product, 4 = uniform-circle product)")
-    p.add_argument("--config", help="flat key=value file mirroring these flags; "
-                                    "explicit flags win")
-    p.add_argument("--theorem", type=int, choices=[2, 3, 4])
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
+    # Config keys must be whole flag names, and --config the name main looks for.
+    config_help = "flat key=value file whose keys are these flags; explicit flags win"
+    p = sub.add_parser("lsd", allow_abbrev=False,
+                       help="limit-law experiment (2 = degenerate circle, "
+                            "3 = roots-of-unity product, 4 = uniform-circle product)")
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--theorem", type=int, choices=[2, 3, 4], required=True)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=int, help="product exponent (inferred when omitted)")
-    p.add_argument("--law")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--law", default="gaussian")
+    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--tol-radial", type=float, dest="tol_radial")
     p.add_argument("--tol-angular", type=float, dest="tol_angular")
@@ -361,13 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.set_defaults(func=cmd_lsd)
 
-    p = sub.add_parser("gumbel", help="spectral-radius experiment on n = k^2 + 1")
-    p.add_argument("--config", help="flat key=value file mirroring these flags; "
-                                    "explicit flags win")
-    p.add_argument("--kk", type=int, help="k; n is fixed to k^2 + 1")
-    p.add_argument("--law")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
+    p = sub.add_parser("gumbel", allow_abbrev=False,
+                       help="spectral-radius experiment on n = k^2 + 1")
+    p.add_argument("--config", help=config_help)
+    p.add_argument("--kk", type=int, required=True, help="k; n is fixed to k^2 + 1")
+    p.add_argument("--law", default="gaussian")
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", help="write per-trial radii (trial,seed,sp,standardized)")
     p.add_argument("--tol-gumbel", type=float, dest="tol_gumbel")
@@ -392,9 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    scan = argparse.ArgumentParser(prog="kcirc", add_help=False, allow_abbrev=False)
+    scan.add_argument("--config")
     try:
+        config = scan.parse_known_args(argv)[0].config
+        if config:  # file values go ahead of the flags, so explicit flags win
+            argv = argv[:1] + _config_tokens(config) + argv[1:]
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except montecarlo.HypothesisError as exc:
         print(f"hypothesis error: {exc}", file=sys.stderr)

@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import k1
 
-from ._quadrature import QuadratureError, quad_smooth
+from ._textio import write_text
 from .seeding import derive_trial_seed
 
 __all__ = [
     "GumbelNormalization",
-    "QuadratureError",
     "gumbel_cdf",
     "normalization",
     "kbar",
@@ -71,10 +71,9 @@ def normalization(q: int) -> GumbelNormalization:
 def kbar(x: float) -> float:
     """Tail probability P(E1*E2 > x) = integral exp(-y - x/y) dy over (0, inf).
 
-    Substituting y = sqrt(x) e^u makes the integrand
-    2 sqrt(x) cosh(u) exp(-2 sqrt(x) cosh(u)) on u >= 0, doubly-exponentially
-    decaying; panels stop where the exponent would underflow. Relative
-    accuracy near machine precision, well inside the 1e-10 absolute target.
+    The integral is s K_1(s) at s = 2 sqrt(x), with K_1 the modified Bessel
+    function of the second kind, to relative accuracy near 1e-13. It is
+    exactly 0 once s > 745, where exp(-s) underflows.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
@@ -83,13 +82,7 @@ def kbar(x: float) -> float:
     s = 2.0 * math.sqrt(x)
     if s > 745.0:
         return 0.0
-    u_max = math.acosh(746.0 / s)
-
-    def integrand(u: float) -> float:
-        return s * math.cosh(u) * math.exp(-s * math.cosh(u))
-
-    val, _ = quad_smooth(integrand, 0.0, u_max, epsrel=1e-12, accept_abs=1e-13)
-    return val
+    return float(s * k1(s))
 
 
 def kbar_asymptotic(x: float) -> float:
@@ -149,9 +142,4 @@ def export_radii_csv(records, path) -> None:
     for rec in records:
         lines.append(f"{int(rec['trial'])},{int(rec['seed'])},"
                      f"{float(rec['sp'])!r},{float(rec['standardized'])!r}")
-    data = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(data)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(data)
+    write_text(path, "\n".join(lines) + "\n")

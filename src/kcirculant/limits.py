@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincc, k1, loggamma
 
+from ._textio import write_text
+
 __all__ = [
     "EULER_GAMMA",
     "DEGENERATE_RADIUS",
@@ -280,9 +282,4 @@ def export_points_csv(points, tags, path) -> None:
     lines = ["re,im,tag"]
     for z, tag in zip(points, tags):
         lines.append(f"{float(z.real)!r},{float(z.imag)!r},{tag}")
-    data = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(data)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(data)
+    write_text(path, "\n".join(lines) + "\n")

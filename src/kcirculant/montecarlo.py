@@ -132,6 +132,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.g is not None and self.kind not in (KIND_LSD3, KIND_LSD4):
+            raise ValueError(f"g does not apply to {self.kind}")
+        unknown = sorted(set(self.tolerances) - set(DEFAULT_TOLERANCES[self.kind]))
+        if unknown:
+            raise ValueError(f"tolerances {unknown} do not apply to {self.kind}")
         self.law = input_law(self.law)
         self.tolerances = {**DEFAULT_TOLERANCES[self.kind], **self.tolerances}
 

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from ._textio import write_text
 from .numtheory import KCirculantParams, EigenPartition, decompose, eigen_partition
 
 __all__ = [
@@ -390,10 +391,4 @@ def export_spectrum_csv(result: SpectrumResult, path, scale: float = 1.0,
     eig = result.eigenvalues * scale
     for z, b, r in zip(eig, result.block_index, result.root_index):
         lines.append(f"{float(z.real)!r},{float(z.imag)!r},{int(b)},{int(r)}")
-    data = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(data)
-    else:
-        mode = "a" if append else "w"
-        with open(path, mode, encoding="ascii") as fh:
-            fh.write(data)
+    write_text(path, "\n".join(lines) + "\n", append)

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from helpers import kcirc
+from kcirculant.cli import main
 
 
 class TestPartition:
@@ -90,6 +93,23 @@ class TestSpectrum:
                     "--out", str(tmp_path / "missing" / "x.csv"))
         assert out.returncode == 3
 
+    @pytest.mark.parametrize("n", ["1000000000000", "0"])
+    def test_n_outside_range_is_usage_error(self, n):
+        # refused before the n input entries are drawn
+        out = kcirc("spectrum", "--k", "3", "--n", n, timeout=5)
+        assert out.returncode == 2
+        assert "cap" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_zero_trials_is_usage_error(self, tmp_path, fmt):
+        path = tmp_path / "cloud.out"
+        out = kcirc("spectrum", "--k", "3", "--n", "10", "--trials", "0",
+                    "--format", fmt, "--out", str(path), timeout=5)
+        assert out.returncode == 2
+        assert "--trials" in out.stderr
+        assert not path.exists()
+
     def test_preset_conflicts_with_explicit_flags(self):
         out = kcirc("spectrum", "--preset", "ring_k2", "--k", "3")
         assert out.returncode == 2
@@ -147,6 +167,36 @@ class TestLsd:
         out = kcirc("lsd", "--config", str(cfg))
         assert out.returncode == 2
         assert "bogus" in out.stderr
+
+    def test_config_run_matches_flag_run(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theorem=3\nk=10\nn=101\ntrials=2\nseed=77\ntol_radial=0.9\n")
+        p1, p2 = tmp_path / "config.json", tmp_path / "flags.json"
+        assert kcirc("lsd", "--config", str(cfg), "--out", str(p1)).returncode == 0
+        assert kcirc("lsd", "--theorem", "3", "--k", "10", "--n", "101", "--trials", "2",
+                     "--seed", "77", "--tol-radial", "0.9",
+                     "--out", str(p2)).returncode == 0
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_config_bad_number_names_the_flag(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("theorem=3\nk=abc\nn=101\n")
+        out = kcirc("lsd", "--config", str(cfg))
+        assert out.returncode == 2
+        assert "--k" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["--theorem", "2", "--k", "2", "--n", "729", "--tol-radial", "0.1"],
+        ["--theorem", "2", "--k", "2", "--n", "729", "--tol-angular", "0.1"],
+        ["--theorem", "2", "--k", "2", "--n", "729", "--g", "7"],
+        ["--theorem", "3", "--k", "10", "--n", "101", "--tol-band", "0.5"],
+        ["--theorem", "3", "--k", "10", "--n", "101", "--radius", "0.7"],
+        ["--theorem", "4", "--k", "10", "--n", "99", "--epsilon", "0.1"],
+    ])
+    def test_inapplicable_flag_is_usage_error(self, argv, capsys):
+        assert main(["lsd", *argv]) == 2
+        assert f"{argv[-2].lstrip('-')} does not apply" in capsys.readouterr().err
 
     def test_huge_g_is_usage_error(self):
         # 10^4 = 1 (mod 9999), so this g passes the congruence; it must be
@@ -225,6 +275,13 @@ class TestTail:
     def test_empty_is_usage_error(self):
         out = kcirc("tail", "--x", " ")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_non_finite_is_usage_error(self, x):
+        out = kcirc("tail", "--x", f"1,{x}")
+        assert out.returncode == 2
+        assert x in out.stderr
+        assert out.stdout == ""
 
 
 class TestReproducibilityAcrossThreads:

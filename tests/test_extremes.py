@@ -99,6 +99,18 @@ class TestKbar:
             ref = kbar_closed_form(float(x))
             assert abs(kbar(float(x)) - ref) <= 1e-6 * ref
 
+    def test_frozen_bessel_values(self):
+        # kbar(x) = z K1(z) at z = 2 sqrt(x), against the frozen references
+        # and the in-suite series, which shares no code with scipy's K1
+        for z, ref in K1_REFERENCE.items():
+            x = z * z / 4.0
+            assert kbar(x) == pytest.approx(z * ref, rel=1e-13)
+            assert kbar(x) == pytest.approx(kbar_closed_form(x), rel=2e-8)
+
+    def test_far_tail_is_exactly_zero(self):
+        assert kbar(746.0**2 / 4.0) == 0.0
+        assert kbar(math.inf) == 0.0
+
     def test_asymptotic_values(self):
         assert kbar_asymptotic(1.0) == pytest.approx(0.2398755439361229, abs=1e-12)
         with pytest.raises(ValueError):

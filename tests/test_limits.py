@@ -86,7 +86,7 @@ class TestRadialTail:
 
     def test_quadrature_failure_reports_achieved_error(self):
         import math
-        from kcirculant._quadrature import QuadratureError, quad_smooth
+        from helpers import QuadratureError, quad_smooth
         with pytest.raises(QuadratureError, match="achieved absolute error"):
             # wildly oscillatory integrand with a starved subdivision budget
             quad_smooth(lambda x: math.cos(50.0 / x) / math.sqrt(x), 1e-6, 1.0,

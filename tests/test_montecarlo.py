@@ -65,6 +65,24 @@ class TestInputLaws:
         assert abs(sample_m3.mean() - m3) <= band
 
 
+class TestExperimentConfig:
+    @pytest.mark.parametrize("kind, tolerances", [
+        (KIND_LSD3, {"bogus": 1}),
+        (KIND_LSD2, {"radial_ks_mean": 0.1}),
+        (KIND_LSD3, {"angular_ks_mean": 0.1}),
+        (KIND_LSD4, {"angular_grid_dev": 0.1}),
+        (KIND_GUMBEL, {"band_mass_min": 0.5}),
+    ])
+    def test_rejects_tolerance_keys_of_other_kinds(self, kind, tolerances):
+        with pytest.raises(ValueError, match="do not apply"):
+            ExperimentConfig(kind=kind, k=10, n=101, tolerances=tolerances)
+
+    @pytest.mark.parametrize("kind", [KIND_LSD2, KIND_GUMBEL])
+    def test_rejects_g_where_unused(self, kind):
+        with pytest.raises(ValueError, match="g does not apply"):
+            ExperimentConfig(kind=kind, k=10, n=101, g=2)
+
+
 class TestHypothesisChecks:
     def test_minus_one_family(self):
         cfg = ExperimentConfig(kind=KIND_LSD3, k=10, n=101, trials=1)
