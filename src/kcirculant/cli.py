@@ -151,18 +151,19 @@ def cmd_spectrum(args) -> int:
                          f"{ORBIT_CAP}, got {args.n}")
     n = args.n
     scale = 1.0 / math.sqrt(n)
-    clouds = []
+    out = sys.stdout if args.out == "-" else args.out
+    points = []  # SVG only: each trial's scaled eigenvalues; CSV rows go out per trial
     for t in range(args.trials):
         a = _draw_input(args.law, derive_trial_seed(args.seed, t), n)
-        clouds.append(spectral.formula_spectrum(a, args.k, n))
+        cloud = spectral.formula_spectrum(a, args.k, n)
+        if args.format == "svg":
+            points.append(cloud.eigenvalues * scale)
+        else:
+            spectral.export_spectrum_csv(cloud, out, scale=scale, append=t > 0)
     if args.format == "svg":
-        pts = np.concatenate([c.eigenvalues for c in clouds]) * scale
-        _write_text(args.out, _render_svg(pts, f"k={args.k} n={n} law={args.law} "
-                                               f"trials={args.trials}"))
-    else:
-        out = sys.stdout if args.out == "-" else args.out
-        for i, cloud in enumerate(clouds):
-            spectral.export_spectrum_csv(cloud, out, scale=scale, append=i > 0)
+        _write_text(args.out, _render_svg(np.concatenate(points),
+                                          f"k={args.k} n={n} law={args.law} "
+                                          f"trials={args.trials}"))
     return EXIT_PASS
 
 
@@ -214,6 +215,9 @@ def cmd_lsd(args) -> int:
 
 
 def cmd_gumbel(args) -> int:
+    kk_max = math.isqrt(montecarlo.DFT_EXPERIMENT_CAP - 1)  # n = k^2 + 1 within the cap
+    if not 3 <= args.kk <= kk_max:  # k = 3 is the smallest with q = n // 4 >= 2
+        raise ValueError(f"--kk must be between 3 and {kk_max}, got {args.kk}")
     config = _experiment_config(args, montecarlo.KIND_GUMBEL, k=args.kk,
                                 n=args.kk * args.kk + 1)
     report = montecarlo.run_gumbel_experiment(config)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k1
 
 from ._textio import write_text
 from .seeding import derive_trial_seed
@@ -75,6 +74,8 @@ def kbar(x: float) -> float:
     function of the second kind, to relative accuracy near 1e-13. It is
     exactly 0 once s > 745, where exp(-s) underflows.
     """
+    from scipy.special import k1
+
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x == 0:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, k1, loggamma
 
 from ._textio import write_text
 
@@ -132,6 +131,8 @@ def lsd_radial_cdf(law: LsdLaw, x: float) -> float:
 
 
 def _radial_cdf(g: int, radii: np.ndarray) -> np.ndarray:
+    from scipy.special import gammaincc, k1
+
     with np.errstate(divide="ignore", over="ignore"):
         if g == 1:
             return -np.expm1(-np.square(radii))
@@ -154,6 +155,8 @@ def _radial_cdf(g: int, radii: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _inversion_grid(g: int, per_unit: int):
     """Nodes t, arg phi(t) and weights w |phi(t)|/t, panels 1/per_unit wide."""
+    from scipy.special import loggamma
+
     t = np.geomspace(1e-6, 100.0, 801)  # T to 2.3%; it shrinks like 7 / sqrt(g)
     horizon = t[np.argmax(g * loggamma(1 + 1j * t).real - np.log(t) < -40.0)]
     panels = math.ceil(horizon * per_unit)

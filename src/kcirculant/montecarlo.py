@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import extremes, limits, spectral
 from .numtheory import classify_regime, decompose, eigen_partition, factorize
@@ -398,6 +397,8 @@ def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
                 dist, matched = spectral.spectra_match(nonzero, dense, tol)
                 ok = ok and matched
             else:
+                from scipy.optimize import linear_sum_assignment
+
                 cost = np.abs(nonzero[:, None] - dense[None, :])
                 rows, cols = linear_sum_assignment(cost)
                 dist = float(cost[rows, cols].max()) if rows.size else 0.0

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._textio import write_text
 from .numtheory import KCirculantParams, EigenPartition, decompose, eigen_partition
@@ -374,6 +373,8 @@ def spectra_match(s1, s2, tol: float) -> tuple[float, bool]:
             break
     best = float(d.max())
     if best > tol:
+        from scipy.optimize import linear_sum_assignment
+
         cost = np.abs(x[:, None] - y[None, :])
         rows, cols = linear_sum_assignment(cost)
         best = min(best, float(cost[rows, cols].max()))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from helpers import kcirc
+from helpers import kcirc, run_python
 from kcirculant.cli import main
 
 
@@ -114,6 +114,34 @@ class TestSpectrum:
         out = kcirc("spectrum", "--preset", "ring_k2", "--k", "3")
         assert out.returncode == 2
         assert "conflicts" in out.stderr
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_file_and_stdout_bytes_agree(self, tmp_path, fmt):
+        path = tmp_path / f"cloud.{fmt}"
+        args = ["spectrum", "--k", "3", "--n", "40", "--seed", "5", "--trials", "3",
+                "--format", fmt]
+        assert kcirc(*args, "--out", str(path)).returncode == 0
+        out = kcirc(*args)
+        assert out.returncode == 0
+        assert out.stdout == path.read_text()
+        if fmt == "csv":
+            assert out.stdout.count("re,im") == 1
+            assert len(out.stdout.splitlines()) == 1 + 3 * 40
+
+    def test_csv_memory_does_not_grow_with_trials(self, tmp_path):
+        import tracemalloc
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert main(["spectrum", "--k", "3", "--n", "20000",
+                             "--trials", str(trials), "--out", str(tmp_path / "c.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # builds the cached structure of (n, k) outside the measurement
+        assert peak(4) < 1.25 * peak(1)  # holding every trial's result measured 1.54
 
 
 class TestLsd:
@@ -237,6 +265,14 @@ class TestGumbel:
         assert len(lines) == 31
         float(lines[1].split(",")[3])  # standardized column parses
 
+    @pytest.mark.parametrize("kk", ["0", "2", "448"])
+    def test_kk_outside_range_is_usage_error(self, kk, capsys):
+        # k = 2 leaves q = n // 4 = 1, and k = 448 puts n = k^2 + 1 above the cap
+        assert main(["gumbel", "--kk", kk, "--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "--kk must be between 3 and 447" in err
+        assert err.endswith(f"got {kk}\n")
+
 
 class TestVerify:
     def test_clean_sweep(self):
@@ -293,3 +329,42 @@ class TestReproducibilityAcrossThreads:
         assert kcirc(*args, "--out", str(p1)).returncode == 0
         assert kcirc(*args, "--out", str(p2)).returncode == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# Runs the command given as arguments in a fresh process and prints which
+# scipy modules it has loaded.
+_SCIPY_PROBE = """\
+import contextlib, io, json, sys
+from kcirculant.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_modules_after(*argv):
+    out = run_python("-c", _SCIPY_PROBE, *argv)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+class TestScipyLoadedOnDemand:
+    def test_import_loads_no_scipy(self):
+        out = run_python("-c", "import sys, kcirculant, kcirculant.cli; "
+                               "print('scipy' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "False\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--k", "3", "--n", "10", "--json"],
+        ["spectrum", "--k", "2", "--n", "9"],
+        ["gumbel", "--kk", "4", "--trials", "8"],
+    ])
+    def test_command_loads_no_scipy(self, argv):
+        assert _scipy_modules_after(*argv) == []
+
+    def test_lsd_loads_special_but_not_optimize(self):
+        loaded = _scipy_modules_after("lsd", "--theorem", "3", "--k", "3", "--n", "10",
+                                      "--trials", "2")
+        assert "scipy.special" in loaded
+        assert "scipy.optimize" not in loaded
