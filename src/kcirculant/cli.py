@@ -18,7 +18,7 @@ import numpy as np
 
 from . import extremes, montecarlo, spectral
 from ._textio import write_text
-from .numtheory import ORBIT_CAP, decompose, eigen_partition
+from .numtheory import ORBIT_CAP, structure
 from .seeding import derive_trial_seed
 
 EXIT_PASS = 0
@@ -30,6 +30,17 @@ EXIT_IO = 3
 def _write_text(path: str, data: str) -> None:
     """Write data to the file at path, or to stdout for "-"."""
     write_text(sys.stdout if path == "-" else path, data)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of the tolerance and fuzz flags: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _config_tokens(path: str) -> list[str]:
@@ -48,8 +59,7 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def cmd_partition(args) -> int:
-    params = decompose(args.n, args.k)
-    part = eigen_partition(params)
+    params, part, _ = structure(args.n, args.k)
     ups = part.upsilon
     values, counts = np.unique(part.sizes, return_counts=True)
     hist = dict(zip(values.tolist(), counts.tolist()))
@@ -302,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--tol-radial", type=float, dest="tol_radial")
-    p.add_argument("--tol-angular", type=float, dest="tol_angular")
-    p.add_argument("--tol-band", type=float, dest="tol_band")
-    p.add_argument("--radius", type=float)
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--tol-radial", type=_finite_float, dest="tol_radial")
+    p.add_argument("--tol-angular", type=_finite_float, dest="tol_angular")
+    p.add_argument("--tol-band", type=_finite_float, dest="tol_band")
+    p.add_argument("--radius", type=_finite_float)
+    p.add_argument("--epsilon", type=_finite_float)
     p.set_defaults(func=cmd_lsd)
 
     p = sub.add_parser("gumbel", allow_abbrev=False,
@@ -318,15 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", help="write per-trial radii (trial,seed,sp,standardized)")
-    p.add_argument("--tol-gumbel", type=float, dest="tol_gumbel")
-    p.add_argument("--tol-reference", type=float, dest="tol_reference")
+    p.add_argument("--tol-gumbel", type=_finite_float, dest="tol_gumbel")
+    p.add_argument("--tol-reference", type=_finite_float, dest="tol_reference")
     p.set_defaults(func=cmd_gumbel)
 
     p = sub.add_parser("verify", help="formula vs dense eigensolver sweep")
     p.add_argument("--nmax", type=int, default=40)
     p.add_argument("--samples", type=int, default=5)
     p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
-    p.add_argument("--fuzz", type=float, default=0.0,
+    p.add_argument("--fuzz", type=_finite_float, default=0.0,
                    help="perturb the formula side to exercise the failure path")
     p.add_argument("--out", help="write the JSON report here")
     p.set_defaults(func=cmd_verify)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import extremes, limits, spectral
-from .numtheory import classify_regime, decompose, eigen_partition, factorize
+from .numtheory import classify_regime, factorize, structure
 from .seeding import derive_trial_seed
 
 __all__ = [
@@ -244,9 +244,9 @@ def hypothesis_check(config: ExperimentConfig) -> dict:
         if n != k * k + 1:
             raise HypothesisError(f"spectral-radius experiments need n = k^2 + 1; "
                                   f"got k={k}, n={n} (k^2+1 = {k * k + 1})")
-        partition = eigen_partition(decompose(n, k))
-        sizes, first = partition.sizes, partition.members[partition.starts]
-        allowed = (sizes == 4) | ((sizes == 1) & ((first == 0) | (2 * first == n)))
+        partition = structure(n, k)[1]
+        sizes = partition.sizes  # the self-conjugate singletons are {0} and {n/2}
+        allowed = (sizes == 4) | ((sizes == 1) & partition.self_conjugate)
         if not allowed.all():
             blk = partition.blocks[int(np.argmin(allowed))]
             raise HypothesisError(f"partition block {blk} is neither a 4-block "

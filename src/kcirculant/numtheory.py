@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "orbit",
     "multiplicative_order",
     "eigen_partition",
+    "structure",
     "upsilon",
     "lower_order_count_ie",
     "gcd_power_bound",
@@ -187,15 +189,17 @@ class EigenPartition:
 
     def __post_init__(self):
         for arr in (self.members, self.starts, self.sizes, self.conjugate):
-            arr.setflags(write=False)  # shared through the spectral structure cache
+            arr.setflags(write=False)  # shared through the structure cache
 
     def is_self_conjugate(self, j: int) -> bool:
         return bool(self.conjugate[j] == j)
 
-    @property
+    @cached_property
     def self_conjugate(self) -> np.ndarray:
         """Boolean mask of the blocks that are their own reflection."""
-        return self.conjugate == np.arange(self.conjugate.size)
+        mask = self.conjugate == np.arange(self.conjugate.size)
+        mask.setflags(write=False)
+        return mask
 
     @property
     def block_count(self) -> int:
@@ -246,13 +250,26 @@ def eigen_partition(params: KCirculantParams) -> EigenPartition:
                           sizes=sizes, g1=g1, conjugate=conjugate)
 
 
+@lru_cache(maxsize=64)
+def structure(n: int, k: int) -> tuple[KCirculantParams, EigenPartition, np.ndarray]:
+    """Decomposition, orbit partition and DFT indices (members * n/n') of (n, k).
+
+    The one orbit-structure cache: each (n, k) is walked once; arrays are read-only.
+    """
+    params = decompose(n, k)
+    partition = eigen_partition(params)
+    dft_indices = partition.members * (n // params.n_prime)
+    dft_indices.setflags(write=False)
+    return params, partition, dft_indices
+
+
 def upsilon(params: KCirculantParams) -> Fraction:
     """Fraction of Z_{n'} sitting in orbits strictly smaller than the largest.
 
     Read off the orbit sizes of the partition, so it is checked against the
     independent inclusion-exclusion count in lower_order_count_ie.
     """
-    return eigen_partition(params).upsilon
+    return structure(params.n, params.k)[1].upsilon
 
 
 def lower_order_count_ie(params: KCirculantParams) -> int:
@@ -324,7 +341,7 @@ def classify_regime(g: int, k: int, n: int) -> RegimeClassification:
         raise ValueError("need n >= 2 and k >= 1")
     if math.gcd(k, n) != 1:
         raise ValueError("classify_regime requires gcd(k, n) = 1")
-    part = eigen_partition(decompose(n, k))
+    part = structure(n, k % n)[1]
     g1, ups = part.g1, part.upsilon
     kg_mod = pow(k, g, n)
     if kg_mod == n - 1:

@@ -16,12 +16,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from ._textio import write_text
-from .numtheory import KCirculantParams, EigenPartition, decompose, eigen_partition
+from .numtheory import KCirculantParams, EigenPartition, structure
 
 __all__ = [
     "SpectrumResult",
@@ -97,38 +96,8 @@ def dft_naive(a, t_values=None) -> np.ndarray:
     return out
 
 
-@dataclass
-class _BlockArrays:
-    """Partition flattened into numpy arrays for vectorized product/root work."""
-
-    dft_indices: np.ndarray   # block elements scaled by n/n', concatenated
-    sizes: np.ndarray
-    starts: np.ndarray
-    self_conj: np.ndarray     # bool per block
-    sign_specials: tuple[tuple[int, int], ...]  # (block index, dft index) of t=0 / t=n'/2
-
-
-def _block_arrays(partition: EigenPartition, n: int) -> _BlockArrays:
-    m = partition.n_prime
-    y = n // m
-    specials = [(0, 0)]  # block 0 is always {0}
-    if m % 2 == 0:  # n'/2 is then a singleton, the block whose smallest member it is
-        half = m // 2
-        j = int(np.searchsorted(partition.members[partition.starts], half))
-        specials.append((j, half * y))
-    return _BlockArrays(dft_indices=partition.members * y, sizes=partition.sizes,
-                        starts=partition.starts, self_conj=partition.self_conjugate,
-                        sign_specials=tuple(specials))
-
-
-@lru_cache(maxsize=64)
-def _structure(n: int, k: int):
-    params = decompose(n, k)
-    partition = eigen_partition(params)
-    return params, partition, _block_arrays(partition, n)
-
-
-def _log_block_products(lam: np.ndarray, arrays: _BlockArrays):
+def _log_block_products(lam: np.ndarray, partition: EigenPartition,
+                        dft_indices: np.ndarray):
     """Per-block DFT products in log form: (log modulus, principal angle).
 
     A self-conjugate block multiplies to a real number: its t, n'-t pairs
@@ -137,29 +106,28 @@ def _log_block_products(lam: np.ndarray, arrays: _BlockArrays):
     directions exactly on their grid. Blocks whose product underflows to 0
     (some lambda_t == 0) come out with log modulus -inf.
     """
-    vals = lam[arrays.dft_indices]
+    vals = lam[dft_indices]
+    starts, self_conj = partition.starts, partition.self_conjugate
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(vals))
-    log_mod = np.add.reduceat(logs, arrays.starts)
-    raw = np.add.reduceat(np.angle(vals), arrays.starts)
+    log_mod = np.add.reduceat(logs, starts)
+    raw = np.add.reduceat(np.angle(vals), starts)
     theta = np.remainder(raw, TWO_PI)
     theta[theta > math.pi] -= TWO_PI
-    theta[arrays.self_conj] = 0.0
-    # the t = 0 and t = n'/2 blocks are self-conjugate singletons with a real,
-    # possibly negative DFT value; they are the only sign carriers
-    for j, idx in arrays.sign_specials:
-        if lam[idx].real < 0.0:
-            theta[j] = math.pi
+    theta[self_conj] = 0.0
+    # the self-conjugate singletons are exactly {0} and {n'/2}, whose real,
+    # possibly negative DFT values are the only sign carriers
+    theta[self_conj & (partition.sizes == 1) & (vals[starts].real < 0.0)] = math.pi
     return log_mod, theta
 
 
 def _assemble_products(log_mod: np.ndarray, theta: np.ndarray,
-                       arrays: _BlockArrays) -> np.ndarray:
+                       partition: EigenPartition) -> np.ndarray:
     """Materialize complex block products; huge blocks may overflow to inf."""
     with np.errstate(over="ignore"):
         mod = np.exp(log_mod)
     out = np.empty(log_mod.size, dtype=complex)
-    sc = arrays.self_conj
+    sc = partition.self_conjugate
     out[sc] = mod[sc] * np.where(theta[sc] == 0.0, 1.0, -1.0)
     nsc = ~sc
     out[nsc] = mod[nsc] * (np.cos(theta[nsc]) + 1j * np.sin(theta[nsc]))
@@ -187,19 +155,17 @@ class SpectrumResult:
     root_index: np.ndarray
 
 
-def block_products(dft_values, partition: EigenPartition,
-                   params: KCirculantParams) -> np.ndarray:
-    """Products Pi_j of DFT values lambda_{t * n/n'} over each partition block.
+def block_products(dft_values, params: KCirculantParams) -> np.ndarray:
+    """Products Pi_j of DFT values lambda_{t * n/n'} over each orbit block.
 
-    partition is eigen_partition(params); the block arrays come from the
-    cached structure of (n, k).
+    The blocks are those of the cached structure of (params.n, params.k).
     """
     lam = np.asarray(dft_values, dtype=complex)
     if lam.size != params.n:
         raise ValueError("DFT length must equal n")
-    arrays = _structure(params.n, params.k)[2]
-    log_mod, theta = _log_block_products(lam, arrays)
-    return _assemble_products(log_mod, theta, arrays)
+    _, partition, idx = structure(params.n, params.k)
+    log_mod, theta = _log_block_products(lam, partition, idx)
+    return _assemble_products(log_mod, theta, partition)
 
 
 def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
@@ -212,15 +178,15 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     a = as_input_sequence(a)
     if a.size != n:
         raise ValueError(f"input length {a.size} does not match n = {n}")
-    params, partition, arrays = _structure(n, k % n)
+    params, partition, idx = structure(n, k % n)
     lam = dft(a)
-    log_mod, theta = _log_block_products(lam, arrays)
-    products = _assemble_products(log_mod, theta, arrays)
+    log_mod, theta = _log_block_products(lam, partition, idx)
+    products = _assemble_products(log_mod, theta, partition)
 
     m = params.n_prime
-    sizes = arrays.sizes
+    sizes = partition.sizes
     j_of = np.repeat(np.arange(sizes.size), sizes)
-    r = np.arange(m) - arrays.starts[j_of]
+    r = np.arange(m) - partition.starts[j_of]
     inv = 1.0 / sizes[j_of]
     root_mod = np.exp(log_mod[j_of] * inv)
     ang = (theta[j_of] + TWO_PI * r) * inv
@@ -246,12 +212,11 @@ def formula_radius(a, k: int, n: int) -> float:
     a = as_input_sequence(a)
     if a.size != n:
         raise ValueError(f"input length {a.size} does not match n = {n}")
-    arrays = _structure(n, k % n)[2]
-    idx = arrays.dft_indices
+    _, partition, idx = structure(n, k % n)
     with np.errstate(divide="ignore"):
         half_logs = np.log(np.abs(np.fft.rfft(a)))
-    log_mod = np.add.reduceat(half_logs[np.minimum(idx, n - idx)], arrays.starts)
-    return float(np.exp(log_mod * (1.0 / arrays.sizes)).max())
+    log_mod = np.add.reduceat(half_logs[np.minimum(idx, n - idx)], partition.starts)
+    return float(np.exp(log_mod * (1.0 / partition.sizes)).max())
 
 
 @dataclass
@@ -283,8 +248,8 @@ def det_probe_oracle(a, k: int, n: int, trial_points) -> list[DetProbe]:
         raise ValueError("determinant probes are capped at n <= 512")
     A = build_matrix(a, k, n)
     spectrum = formula_spectrum(a, k, n)
-    arrays = _structure(n, k % n)[2]
-    log_mod, theta = _log_block_products(spectrum.dft, arrays)
+    _, partition, idx = structure(n, k % n)
+    log_mod, theta = _log_block_products(spectrum.dft, partition, idx)
     scale = math.sqrt(n)
     B = A / scale
     eye = np.eye(n)
@@ -305,8 +270,8 @@ def det_probe_oracle(a, k: int, n: int, trial_points) -> list[DetProbe]:
         log_lu = complex(n * half_log_n + logabs, cmath.phase(complex(sign)))
 
         log_formula = zeros * cmath.log(lam) if zeros else 0j
-        for j in range(arrays.sizes.size):
-            nj = int(arrays.sizes[j])
+        for j in range(partition.block_count):
+            nj = int(partition.sizes[j])
             pi_scaled = _safe_exp(complex(log_mod[j] - nj * half_log_n, 0)) \
                 * cmath.exp(1j * theta[j])
             factor = lam_s**nj - pi_scaled
@@ -343,11 +308,11 @@ def dense_spectrum_oracle(matrix) -> np.ndarray:
 
 
 def spectra_match(s1, s2, tol: float) -> tuple[float, bool]:
-    """Best pairing distance between two equal-size eigenvalue multisets.
+    """Largest pair distance of a pairing of two equal-size eigenvalue multisets.
 
-    Greedy matching on a lexicographic (re, im) sort plus local swap repair;
-    if that still exceeds tol, falls back to an optimal assignment before
-    declaring a mismatch. Returns (max pair distance, matched).
+    Greedy pairing on a lexicographic (re, im) sort plus local swap repair; past
+    tol, also the sum-minimizing assignment, keeping the smaller largest distance.
+    Neither minimizes the largest distance. Returns (that distance, <= tol).
     """
     e1 = np.asarray(s1, dtype=complex).ravel()
     e2 = np.asarray(s2, dtype=complex).ravel()

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from helpers import kcirc, run_python
+from kcirculant import numtheory, spectral
 from kcirculant.cli import main
 
 
@@ -290,6 +292,62 @@ class TestVerify:
         out = kcirc("verify", "--nmax", "6", "--samples", "1", "--fuzz", "1e-3")
         assert out.returncode == 1
         assert "FAIL" in out.stdout
+
+
+class TestFiniteFloatFlags:
+    @pytest.mark.parametrize("argv, config", [
+        (["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--tol-radial", "nan"], None),
+        (["lsd", "--theorem", "4", "--k", "10", "--n", "99", "--tol-angular", "inf"], None),
+        (["lsd", "--theorem", "2", "--k", "2", "--n", "729", "--tol-band", "nan"], None),
+        (["lsd", "--theorem", "2", "--k", "2", "--n", "729", "--radius", "nan"], None),
+        (["lsd", "--theorem", "2", "--k", "2", "--n", "729", "--epsilon", "nan"], None),
+        (["gumbel", "--kk", "4", "--tol-gumbel", "nan"], None),
+        (["gumbel", "--kk", "4", "--tol-reference", "inf"], None),
+        (["verify", "--nmax", "4", "--fuzz", "nan"], None),
+        (["verify", "--nmax", "4", "--fuzz", "inf"], None),
+        (["lsd", "--theorem", "3", "--k", "3", "--n", "10"], "tol_radial=nan"),
+        (["gumbel", "--kk", "4"], "tol-gumbel=-inf"),
+    ])
+    def test_non_finite_value_names_the_flag(self, argv, config, tmp_path, capsys):
+        if config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config + "\n")
+            argv = [*argv, "--config", str(cfg)]
+            flag = "--" + config.split("=")[0].replace("_", "-")
+        else:
+            flag = argv[-2]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+
+
+class TestOneOrbitWalkPerCommand:
+    def test_structure_cache_is_bound_in_spectral(self):
+        caches = [v for v in vars(spectral).values() if hasattr(v, "cache_info")]
+        assert caches == [numtheory.structure]
+
+    @pytest.mark.parametrize("argv", [
+        ["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--trials", "2"],
+        ["gumbel", "--kk", "4", "--trials", "8"],
+        ["partition", "--k", "3", "--n", "10"],
+    ])
+    def test_command_walks_orbits_once(self, argv, monkeypatch, capsys):
+        original = numtheory.eigen_partition
+        walks = []
+
+        def counting(params):
+            walks.append(params.n_prime)
+            return original(params)
+
+        # every module binding, so a walk outside the cached accessor counts too
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "kcirculant" \
+                    and getattr(mod, "eigen_partition", None) is original:
+                monkeypatch.setattr(mod, "eigen_partition", counting)
+        numtheory.structure.cache_clear()
+        assert main(argv) in (0, 1)
+        assert len(walks) == 1
 
 
 class TestTail:

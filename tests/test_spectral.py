@@ -116,7 +116,7 @@ class TestBlockProducts:
         a = rng.standard_normal(12)
         params = decompose(12, 5)
         part = eigen_partition(params)
-        prods = block_products(dft(a), part, params)
+        prods = block_products(dft(a), params)
         assert prods[0] == pytest.approx(a.sum())
 
     def test_half_block_is_alternating_sum(self):
@@ -124,7 +124,7 @@ class TestBlockProducts:
         a = rng.standard_normal(10)
         params = decompose(10, 3)
         part = eigen_partition(params)
-        prods = block_products(dft(a), part, params)
+        prods = block_products(dft(a), params)
         j = part.blocks.index((5,))
         alternating = np.sum(a * (-1.0) ** np.arange(10))
         assert prods[j].imag == 0.0
@@ -153,7 +153,7 @@ class TestBlockProducts:
         a = rng.standard_normal(101)
         params = decompose(101, 10)
         part = eigen_partition(params)
-        prods = block_products(dft(a), part, params)
+        prods = block_products(dft(a), params)
         for j, blk in enumerate(part.blocks):
             if len(blk) == 4:
                 assert prods[j].imag == 0.0
@@ -166,7 +166,7 @@ class TestBlockProducts:
             params = decompose(n, k)
             part = eigen_partition(params)
             lam = dft(a)
-            prods = block_products(lam, part, params)
+            prods = block_products(lam, params)
             y = n // params.n_prime
             for j, blk in enumerate(part.blocks):
                 direct = np.prod(lam[np.array(blk) * y])
