@@ -42,6 +42,7 @@ __all__ = [
 DEFAULT_MASTER_SEED = 20260811
 DFT_EXPERIMENT_CAP = 200_000
 DENSE_ORACLE_CAP = 128
+SWEEP_STACK = 8  # samples per stacked formula and dense solve in oracle_sweep
 G_MAX = 24  # largest product exponent g an experiment accepts or infers
 _REFERENCE_STREAM = 1 << 48  # seed-index offset for auxiliary reference samples
 
@@ -138,6 +139,7 @@ class ExperimentConfig:
             raise ValueError(f"tolerances {unknown} do not apply to {self.kind}")
         self.law = input_law(self.law)
         self.tolerances = {**DEFAULT_TOLERANCES[self.kind], **self.tolerances}
+        _require_finite(self.tolerances)
 
     def echo(self) -> dict:
         return {"kind": self.kind, "k": self.k, "n": self.n, "g": self.g,
@@ -161,7 +163,14 @@ class ExperimentReport:
         payload = {"config": self.config, "hypothesis": self.hypothesis,
                    "trials": self.trials, "aggregates": self.aggregates,
                    "pass": self.passed}
-        return json.dumps(_jsonify(payload), sort_keys=True, indent=2) + "\n"
+        return json.dumps(_jsonify(payload), sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+
+
+def _require_finite(values: dict) -> None:
+    for key, val in values.items():
+        if not math.isfinite(val):
+            raise ValueError(f"{key} must be a finite number, got {val!r}")
 
 
 def _jsonify(obj):
@@ -366,7 +375,8 @@ def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
     depth m by roughly eps^(1/m), so the leftover dense values must have a
     tiny mean (first-order exact) and stay inside a generous scatter bound,
     and their count must equal n - n'. fuzz > 0 perturbs the formula side to
-    exercise the failure path.
+    exercise the failure path. Samples keep their own seeds but are solved in
+    stacks of up to SWEEP_STACK; only the matching is per sample.
     """
     t0 = time.perf_counter()
     if n_max > DENSE_ORACLE_CAP:
@@ -375,41 +385,44 @@ def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
         raise ValueError("n_max must be at least 2")
     if samples_per_pair < 1:
         raise ValueError("samples_per_pair must be at least 1")
+    _require_finite({"tol_factor": tol_factor, "fuzz": fuzz})
     pairs = [(n, k) for n in range(2, n_max + 1) for k in range(1, n)]
     trials = []
     failures = []
     worst = 0.0
     for idx, (n, k) in enumerate(pairs):
         tol = tol_factor * n
-        pair_worst = 0.0
-        pair_scatter = 0.0
+        pair_worst = pair_scatter = 0.0
         ok = True
-        for s in range(samples_per_pair):
-            rng = np.random.default_rng(derive_trial_seed(master_seed,
-                                                          idx * samples_per_pair + s))
-            a = rng.standard_normal(n)
+        seeds = [derive_trial_seed(master_seed, idx * samples_per_pair + s)
+                 for s in range(samples_per_pair)]
+        for lo in range(0, samples_per_pair, SWEEP_STACK):
+            a = np.stack([np.random.default_rng(seed).standard_normal(n)
+                          for seed in seeds[lo:lo + SWEEP_STACK]])
             spectrum = spectral.formula_spectrum(a, k, n)
-            dense = spectral.dense_spectrum_oracle(spectral.build_matrix(a, k, n))
-            nonzero = spectrum.eigenvalues[spectrum.zero_multiplicity:]
-            if fuzz:
-                nonzero = nonzero + fuzz
-            if spectrum.zero_multiplicity == 0:
-                dist, matched = spectral.spectra_match(nonzero, dense, tol)
-                ok = ok and matched
-            else:
-                from scipy.optimize import linear_sum_assignment
+            zeros = spectrum.zero_multiplicity
+            stack = spectral.dense_spectrum_oracle(spectral.build_matrix(a, k, n))
+            for eigs, lam, dense in zip(spectrum.eigenvalues, spectrum.dft, stack):
+                nonzero = eigs[zeros:]
+                if fuzz:
+                    nonzero = nonzero + fuzz
+                if zeros == 0:
+                    dist, matched = spectral.spectra_match(nonzero, dense, tol)
+                    ok = ok and matched
+                else:
+                    from scipy.optimize import linear_sum_assignment
 
-                cost = np.abs(nonzero[:, None] - dense[None, :])
-                rows, cols = linear_sum_assignment(cost)
-                dist = float(cost[rows, cols].max()) if rows.size else 0.0
-                leftover = np.delete(dense, cols)
-                scale = max(1.0, float(np.abs(spectrum.dft).max()))
-                centroid = abs(leftover.mean())
-                scatter = float(np.abs(leftover).max())
-                pair_scatter = max(pair_scatter, scatter)
-                ok = ok and dist <= tol and centroid <= 1e-8 * scale \
-                    and scatter <= 0.05 * scale and leftover.size == spectrum.zero_multiplicity
-            pair_worst = max(pair_worst, dist)
+                    cost = np.abs(nonzero[:, None] - dense[None, :])
+                    rows, cols = linear_sum_assignment(cost)
+                    dist = float(cost[rows, cols].max()) if rows.size else 0.0
+                    leftover = np.delete(dense, cols)
+                    scale = max(1.0, float(np.abs(lam).max()))
+                    centroid = abs(leftover.mean())
+                    scatter = float(np.abs(leftover).max())
+                    pair_scatter = max(pair_scatter, scatter)
+                    ok = ok and dist <= tol and centroid <= 1e-8 * scale \
+                        and scatter <= 0.05 * scale and leftover.size == zeros
+                pair_worst = max(pair_worst, dist)
         record = {"n": n, "k": k, "max_distance": pair_worst,
                   "zero_multiplicity": spectrum.zero_multiplicity, "ok": ok}
         if spectrum.zero_multiplicity:

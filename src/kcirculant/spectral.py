@@ -41,12 +41,12 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 
 
-def as_input_sequence(values) -> np.ndarray:
-    """Validate an input sequence: 1-D, length >= 2, all entries finite."""
+def as_input_sequence(values, rows: bool = False) -> np.ndarray:
+    """Validate an input: 1-D (or 2-D, one sequence per row), length >= 2, finite."""
     a = np.asarray(values, dtype=float)
-    if a.ndim != 1:
-        raise ValueError("input sequence must be one-dimensional")
-    if a.size < 2:
+    if a.ndim != 1 and not (rows and a.ndim == 2):
+        raise ValueError(f"input must be 1-D{' or 2-D' if rows else ''}, got {a.ndim}-D")
+    if a.shape[-1] < 2:
         raise ValueError("input sequence needs length >= 2")
     if not np.all(np.isfinite(a)):
         raise ValueError("input sequence contains non-finite values")
@@ -54,15 +54,15 @@ def as_input_sequence(values) -> np.ndarray:
 
 
 def build_matrix(a, k: int, n: int) -> np.ndarray:
-    """Dense n x n matrix with A[j, c] = a[(c - j*k) mod n]; row 0 is a itself."""
-    a = as_input_sequence(a)
-    if a.size != n:
-        raise ValueError(f"input length {a.size} does not match n = {n}")
+    """Dense n x n matrix A[j, c] = a[(c - j*k) mod n], one per row of a 2-D a."""
+    a = as_input_sequence(a, rows=True)
+    if a.shape[-1] != n:
+        raise ValueError(f"input length {a.shape[-1]} does not match n = {n}")
     if not 1 <= k < n:
         raise ValueError("k must satisfy 1 <= k < n")
     cols = np.arange(n)
     idx = (cols[None, :] - k * cols[:, None]) % n
-    return a[idx]
+    return a.take(idx, axis=-1)
 
 
 def dft(a) -> np.ndarray:
@@ -70,14 +70,15 @@ def dft(a) -> np.ndarray:
 
     Built from the half-spectrum real FFT so that lambda_{n-t} is the exact
     floating-point conjugate of lambda_t; the orbit products rely on that.
+    A 2-D stack of inputs is transformed row by row.
     """
-    a = as_input_sequence(a)
-    n = a.size
+    a = as_input_sequence(a, rows=True)
+    n = a.shape[-1]
     half = n // 2
     r = np.fft.rfft(a)
-    lam = np.empty(n, dtype=complex)
-    lam[: half + 1] = np.conj(r)
-    lam[half + 1 :] = r[1 : n - half][::-1]
+    lam = np.empty(a.shape, dtype=complex)
+    lam[..., : half + 1] = np.conj(r)
+    lam[..., half + 1 :] = r[..., 1 : n - half][..., ::-1]
     return lam
 
 
@@ -104,20 +105,20 @@ def _log_block_products(lam: np.ndarray, partition: EigenPartition,
     contribute |lambda|^2 and only the t = 0 and t = n'/2 factors carry a
     sign. Those blocks get an exact angle of 0 or pi, which keeps the root
     directions exactly on their grid. Blocks whose product underflows to 0
-    (some lambda_t == 0) come out with log modulus -inf.
+    (some lambda_t == 0) come out with log modulus -inf. Works row by row on a stack.
     """
-    vals = lam[dft_indices]
+    vals = lam.take(dft_indices, axis=-1)
     starts, self_conj = partition.starts, partition.self_conjugate
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(vals))
-    log_mod = np.add.reduceat(logs, starts)
-    raw = np.add.reduceat(np.angle(vals), starts)
+    log_mod = np.add.reduceat(logs, starts, axis=-1)
+    raw = np.add.reduceat(np.angle(vals), starts, axis=-1)
     theta = np.remainder(raw, TWO_PI)
     theta[theta > math.pi] -= TWO_PI
-    theta[self_conj] = 0.0
+    theta.T[self_conj] = 0.0  # block axis first: x[..., mask] is slow on one row
     # the self-conjugate singletons are exactly {0} and {n'/2}, whose real,
     # possibly negative DFT values are the only sign carriers
-    theta[self_conj & (partition.sizes == 1) & (vals[starts].real < 0.0)] = math.pi
+    theta[self_conj & (partition.sizes == 1) & (vals.take(starts, -1).real < 0.0)] = math.pi
     return log_mod, theta
 
 
@@ -126,11 +127,11 @@ def _assemble_products(log_mod: np.ndarray, theta: np.ndarray,
     """Materialize complex block products; huge blocks may overflow to inf."""
     with np.errstate(over="ignore"):
         mod = np.exp(log_mod)
-    out = np.empty(log_mod.size, dtype=complex)
-    sc = partition.self_conjugate
-    out[sc] = mod[sc] * np.where(theta[sc] == 0.0, 1.0, -1.0)
+    out = np.empty(log_mod.shape, dtype=complex)
+    sc = partition.self_conjugate  # indexes the block axis, first in each .T view
+    out.T[sc] = mod.T[sc] * np.where(theta.T[sc] == 0.0, 1.0, -1.0)
     nsc = ~sc
-    out[nsc] = mod[nsc] * (np.cos(theta[nsc]) + 1j * np.sin(theta[nsc]))
+    out.T[nsc] = mod.T[nsc] * (np.cos(theta.T[nsc]) + 1j * np.sin(theta.T[nsc]))
     return out
 
 
@@ -142,7 +143,8 @@ class SpectrumResult:
     each orbit block its n_j roots of Pi_j in root order r = 0..n_j-1.
     block_index is -1 for structural zeros. block_products stores the complex
     Pi_j; for very large blocks these can overflow to inf even though the
-    roots themselves (computed from logs) stay finite.
+    roots themselves (computed from logs) stay finite. A stack of inputs gives
+    eigenvalues, block_products and dft one row per input; the rest is shared.
     """
 
     eigenvalues: np.ndarray
@@ -173,11 +175,12 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
 
     Emits n - n' exact zeros plus, per block j, the n_j complex n_j-th roots
     of Pi_j: |Pi_j|^(1/n_j) * exp(i*(theta_j + 2*pi*r)/n_j), r = 0..n_j-1,
-    with theta_j the principal argument of Pi_j.
+    with theta_j the principal argument of Pi_j. A 2-D stack of inputs, one
+    per row, gives one row of eigenvalues per input.
     """
-    a = as_input_sequence(a)
-    if a.size != n:
-        raise ValueError(f"input length {a.size} does not match n = {n}")
+    a = as_input_sequence(a, rows=True)
+    if a.shape[-1] != n:
+        raise ValueError(f"input length {a.shape[-1]} does not match n = {n}")
     params, partition, idx = structure(n, k % n)
     lam = dft(a)
     log_mod, theta = _log_block_products(lam, partition, idx)
@@ -188,12 +191,12 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     j_of = np.repeat(np.arange(sizes.size), sizes)
     r = np.arange(m) - partition.starts[j_of]
     inv = 1.0 / sizes[j_of]
-    root_mod = np.exp(log_mod[j_of] * inv)
-    ang = (theta[j_of] + TWO_PI * r) * inv
+    root_mod = np.exp(log_mod.take(j_of, axis=-1) * inv)
+    ang = (theta.take(j_of, axis=-1) + TWO_PI * r) * inv
     roots = root_mod * (np.cos(ang) + 1j * np.sin(ang))
 
     zeros = n - m
-    eigs = np.concatenate([np.zeros(zeros, dtype=complex), roots])
+    eigs = np.concatenate([np.zeros(a.shape[:-1] + (zeros,), complex), roots], axis=-1)
     block_index = np.concatenate([np.full(zeros, -1, dtype=np.int64), j_of])
     root_index = np.concatenate([np.arange(zeros, dtype=np.int64), r])
     return SpectrumResult(eigenvalues=eigs, zero_multiplicity=zeros,
@@ -294,17 +297,18 @@ def dense_spectrum_oracle(matrix) -> np.ndarray:
     Delegates to LAPACK's standard dense nonsymmetric path (balancing,
     Hessenberg reduction, shifted QR). Simple eigenvalues come back to
     ~1e-8 * ||A||; a defective zero of multiplicity m scatters by about
-    eps^(1/m), which callers must account for.
+    eps^(1/m), which callers must account for. A 3-D stack of matrices gives
+    one row of eigenvalues per matrix from a single eigvals call.
     """
     M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    if M.shape[0] > 128:
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    if M.shape[-1] > 128:
         raise ValueError("dense eigensolver oracle is capped at n <= 128")
     try:
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"dense eigensolver failed to converge (n={M.shape[0]})") from exc
+        raise RuntimeError(f"dense eigensolver failed to converge (n={M.shape[-1]})") from exc
 
 
 def spectra_match(s1, s2, tol: float) -> tuple[float, bool]:

@@ -9,6 +9,9 @@ from-scratch series/asymptotic implementation, deliberately sharing nothing
 with the scipy K1 that kcirculant.extremes.kbar evaluates. Worst-case relative
 error is below 1e-8 on (0, 40] (largest at the z = 8 crossover), verified
 against frozen high-precision reference values in test_extremes.
+reference_oracle_sweep solves the oracle sweep one sample at a time; the
+stacked kcirculant.montecarlo.oracle_sweep must reproduce its report byte for
+byte.
 """
 
 from __future__ import annotations
@@ -20,7 +23,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import scipy.integrate
+
+from kcirculant import spectral
+from kcirculant.montecarlo import ExperimentReport
+from kcirculant.seeding import derive_trial_seed
 
 EULER = 0.57721566490153286061
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -181,3 +189,64 @@ def product_tail(g: int, y: float) -> float:
 
     val, _ = quad_smooth(integrand, u_lo, u_hi, epsrel=1e-10, accept_abs=1e-10)
     return min(max(val, 0.0), 1.0)
+
+
+def reference_oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
+                           tol_factor: float = 1e-7, fuzz: float = 0.0) -> ExperimentReport:
+    """The oracle sweep with one formula spectrum and one dense solve per sample.
+
+    Same pairs, seeds, matching and report as kcirculant.montecarlo.oracle_sweep,
+    without its argument checks and without stacking samples.
+    """
+    pairs = [(n, k) for n in range(2, n_max + 1) for k in range(1, n)]
+    trials = []
+    failures = []
+    worst = 0.0
+    for idx, (n, k) in enumerate(pairs):
+        tol = tol_factor * n
+        pair_worst = 0.0
+        pair_scatter = 0.0
+        ok = True
+        for s in range(samples_per_pair):
+            rng = np.random.default_rng(derive_trial_seed(master_seed,
+                                                          idx * samples_per_pair + s))
+            a = rng.standard_normal(n)
+            spectrum = spectral.formula_spectrum(a, k, n)
+            dense = spectral.dense_spectrum_oracle(spectral.build_matrix(a, k, n))
+            nonzero = spectrum.eigenvalues[spectrum.zero_multiplicity:]
+            if fuzz:
+                nonzero = nonzero + fuzz
+            if spectrum.zero_multiplicity == 0:
+                dist, matched = spectral.spectra_match(nonzero, dense, tol)
+                ok = ok and matched
+            else:
+                from scipy.optimize import linear_sum_assignment
+
+                cost = np.abs(nonzero[:, None] - dense[None, :])
+                rows, cols = linear_sum_assignment(cost)
+                dist = float(cost[rows, cols].max()) if rows.size else 0.0
+                leftover = np.delete(dense, cols)
+                scale = max(1.0, float(np.abs(spectrum.dft).max()))
+                centroid = abs(leftover.mean())
+                scatter = float(np.abs(leftover).max())
+                pair_scatter = max(pair_scatter, scatter)
+                ok = ok and dist <= tol and centroid <= 1e-8 * scale \
+                    and scatter <= 0.05 * scale and leftover.size == spectrum.zero_multiplicity
+            pair_worst = max(pair_worst, dist)
+        record = {"n": n, "k": k, "max_distance": pair_worst,
+                  "zero_multiplicity": spectrum.zero_multiplicity, "ok": ok}
+        if spectrum.zero_multiplicity:
+            record["zero_cluster_scatter"] = pair_scatter
+        worst = max(worst, pair_worst)
+        trials.append(record)
+        if not ok:
+            failures.append({"n": n, "k": k, "max_distance": pair_worst})
+
+    aggregates = {"pairs": len(pairs), "samples_per_pair": samples_per_pair,
+                  "max_distance": worst, "failures": len(failures),
+                  "failure_list": failures}
+    config = {"kind": "oracle_sweep", "n_max": n_max,
+              "samples_per_pair": samples_per_pair, "master_seed": master_seed,
+              "tol_factor": tol_factor, "fuzz": fuzz}
+    return ExperimentReport(config=config, hypothesis={}, trials=trials,
+                            aggregates=aggregates, passed=not failures)

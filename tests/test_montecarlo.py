@@ -5,11 +5,13 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import run_python
+from helpers import reference_oracle_sweep, run_python
 from kcirculant.montecarlo import (
     DEFAULT_MASTER_SEED,
     G_MAX,
+    SWEEP_STACK,
     ExperimentConfig,
+    ExperimentReport,
     HypothesisError,
     INPUT_LAWS,
     KIND_GUMBEL,
@@ -221,6 +223,48 @@ class TestOracleSweep:
     def test_rejects_large(self):
         with pytest.raises(ValueError):
             oracle_sweep(129, 1, master_seed=0)
+
+    @pytest.mark.parametrize("seed, fuzz", [(4, 0.0), (5, 0.0), (4, 1e-3)])
+    def test_matches_one_sample_at_a_time(self, seed, fuzz):
+        report = oracle_sweep(14, 3, master_seed=seed, fuzz=fuzz)
+        assert report.to_json() == reference_oracle_sweep(14, 3, seed, fuzz=fuzz).to_json()
+        assert report.passed is not bool(fuzz)
+
+    def test_memory_does_not_grow_with_samples(self):
+        import tracemalloc
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                oracle_sweep(24, samples, master_seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        oracle_sweep(24, 1, master_seed=1)  # imports the assignment solver untraced
+        assert SWEEP_STACK <= 8
+        assert peak(64) <= 1.25 * peak(8)
+
+    @pytest.mark.parametrize("arg", ["tol_factor", "fuzz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_arguments(self, arg, value):
+        with pytest.raises(ValueError, match=f"{arg} must be a finite number"):
+            oracle_sweep(4, 1, master_seed=0, **{arg: value})
+
+
+class TestFiniteReports:
+    @pytest.mark.parametrize("kind, key", [(KIND_LSD3, "radial_ks_mean"),
+                                           (KIND_LSD2, "epsilon"),
+                                           (KIND_GUMBEL, "ks_reference")])
+    def test_config_names_non_finite_tolerance(self, kind, key):
+        with pytest.raises(ValueError, match=f"{key} must be a finite number, got nan"):
+            ExperimentConfig(kind=kind, k=3, n=10, trials=2, tolerances={key: math.nan})
+
+    def test_to_json_refuses_non_finite_values(self):
+        report = ExperimentReport(config={}, hypothesis={}, trials=[],
+                                  aggregates={"radial_ks_mean": math.nan}, passed=False)
+        with pytest.raises(ValueError):
+            report.to_json()
 
 
 def fresh_report(runner: str, cfg: dict) -> str:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kcirculant.extremes import spectral_radius
 from kcirculant.numtheory import decompose, eigen_partition
@@ -250,6 +250,75 @@ class TestFormulaSpectrum:
         spectrum = formula_spectrum(a, 1, 2)
         dist, ok = spectra_match(spectrum.eigenvalues, [3.5, 2.5], 1e-12)
         assert ok, dist
+
+
+@st.composite
+def input_stacks(draw):
+    """(k, n, rows): 1-9 random input rows, the first sometimes with lambda_0 = 0."""
+    k, n = draw(k_n_pairs(n_max=128))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((draw(st.integers(1, 9)), n))
+    if draw(st.booleans()):
+        rows[0] = 0.0
+        rows[0, :2] = 1.0, -1.0
+    return k, n, rows
+
+
+# (2, 122): 61 structural zeros and one orbit block of size 60;
+# (3, 128): blocks of size 32 and no structural zeros
+STACK_EXAMPLES = [(2, 122, np.random.default_rng(1).standard_normal((8, 122))),
+                  (3, 128, np.random.default_rng(2).standard_normal((3, 128)))]
+
+
+class TestStackedInputs:
+    @PROPERTY
+    @given(case=input_stacks())
+    @example(case=STACK_EXAMPLES[0])
+    @example(case=STACK_EXAMPLES[1])
+    def test_formula_rows_equal_single_calls(self, case):
+        k, n, rows = case
+        stacked = formula_spectrum(rows, k, n)
+        for i, row in enumerate(rows):
+            single = formula_spectrum(row, k, n)
+            for name in ("eigenvalues", "block_products", "dft"):
+                assert np.array_equal(getattr(stacked, name)[i], getattr(single, name)), name
+        assert stacked.zero_multiplicity == single.zero_multiplicity
+        assert np.array_equal(stacked.block_index, single.block_index)
+        assert np.array_equal(stacked.root_index, single.root_index)
+
+    @PROPERTY
+    @given(case=input_stacks())
+    @example(case=STACK_EXAMPLES[0])
+    @example(case=STACK_EXAMPLES[1])
+    def test_dense_oracle_rows_equal_single_calls(self, case):
+        k, n, rows = case
+        matrices = build_matrix(rows, k, n)
+        assert matrices.shape == (len(rows), n, n)
+        stacked = dense_spectrum_oracle(matrices)
+        for i, row in enumerate(rows):
+            single = build_matrix(row, k, n)
+            assert np.array_equal(matrices[i], single)
+            assert np.array_equal(stacked[i], dense_spectrum_oracle(single))
+
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    def test_formula_rejects_non_finite_row(self, row):
+        rows = np.ones((3, 6))
+        rows[row, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            formula_spectrum(rows, 2, 6)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5), (2, 7)])
+    def test_formula_rejects_wrong_length(self, shape):
+        with pytest.raises(ValueError, match="does not match n = 6"):
+            formula_spectrum(np.ones(shape), 2, 6)
+
+    def test_formula_rejects_three_dimensions(self):
+        with pytest.raises(ValueError, match="1-D or 2-D, got 3-D"):
+            formula_spectrum(np.ones((2, 2, 6)), 2, 6)
+
+    def test_dense_oracle_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            dense_spectrum_oracle(np.ones((2, 3, 4)))
 
 
 class TestFormulaRadius:
