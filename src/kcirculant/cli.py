@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalue point cloud of the scaled matrix")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--law", choices=["gaussian", "centered_exponential", "exp",
-                                     "rademacher", "uniform", "delta"])
+    p.add_argument("--law", choices=[*montecarlo.INPUT_LAWS, *montecarlo.LAW_ALIASES,
+                                     "delta"])
     p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
     p.add_argument("--trials", type=int,
                    help="number of realizations appended to the cloud (default 1)")

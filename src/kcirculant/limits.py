@@ -94,14 +94,11 @@ class EsdSample:
     """Eigenvalues of the 1/sqrt(n)-scaled matrix as a point cloud.
 
     structural_zeros_in_points counts leading exact-zero points that are
-    structural (not data); radial statistics skip exactly those. Excluded
-    structural zeros are tallied in excluded_zeros so that
-    len(points) + excluded_zeros == n.
+    structural (not data); radial statistics skip exactly those.
     """
 
     points: np.ndarray
     n: int
-    excluded_zeros: int = 0
     structural_zeros_in_points: int = 0
 
     def nonstructural_points(self) -> np.ndarray:
@@ -184,25 +181,14 @@ def lsd_sample(law: LsdLaw, count: int, rng: np.random.Generator) -> np.ndarray:
     return radius * np.exp(1j * angles)
 
 
-def esd(spectrum, n: int | None = None, include_zeros: bool = True) -> EsdSample:
+def esd(spectrum) -> EsdSample:
     """Scale a spectrum by 1/sqrt(n) into an ESD point cloud.
 
-    Structural zeros are part of the distribution, so they are included by
-    default; pass include_zeros=False to drop them (their count is then
-    reported in excluded_zeros).
+    Structural zeros are part of the distribution, so they stay in the points.
     """
-    if n is None:
-        n = spectrum.params.n
-    elif n != spectrum.params.n:
-        raise ValueError("n does not match the spectrum")
-    pts = spectrum.eigenvalues / math.sqrt(n)
-    if include_zeros:
-        return EsdSample(points=pts, n=n, excluded_zeros=0,
-                         structural_zeros_in_points=spectrum.zero_multiplicity)
-    keep = spectrum.block_index >= 0
-    return EsdSample(points=pts[keep], n=n,
-                     excluded_zeros=spectrum.zero_multiplicity,
-                     structural_zeros_in_points=0)
+    n = spectrum.params.n
+    return EsdSample(points=spectrum.eigenvalues / math.sqrt(n), n=n,
+                     structural_zeros_in_points=spectrum.zero_multiplicity)
 
 
 def ks_one_sample(values, cdf) -> float:

@@ -88,14 +88,14 @@ INPUT_LAWS = {
                         3.0 * _SQRT3 / 4.0),
 }
 
-_LAW_ALIASES = {"normal": "gaussian", "exp": "centered_exponential",
-                "exponential": "centered_exponential"}
+LAW_ALIASES = {"normal": "gaussian", "exp": "centered_exponential",
+               "exponential": "centered_exponential"}
 
 
 def input_law(name_or_law) -> InputLaw:
     if isinstance(name_or_law, InputLaw):
         return name_or_law
-    key = _LAW_ALIASES.get(name_or_law, name_or_law)
+    key = LAW_ALIASES.get(name_or_law, name_or_law)
     try:
         return INPUT_LAWS[key]
     except KeyError:
@@ -370,11 +370,12 @@ def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
                  tol_factor: float = 1e-7, fuzz: float = 0.0) -> ExperimentReport:
     """Formula-vs-dense-eigensolver sweep over every (k, n) with n <= n_max.
 
-    Nonzero eigenvalues must pair up within tol_factor * n. Structural zeros
-    are checked as a cluster: a dense QR scatters a defective zero of Jordan
-    depth m by roughly eps^(1/m), so the leftover dense values must have a
-    tiny mean (first-order exact) and stay inside a generous scatter bound,
-    and their count must equal n - n'. fuzz > 0 perturbs the formula side to
+    One spectra_match call per sample pairs the nonzero formula eigenvalues
+    with dense ones, within tol_factor * n. Structural zeros are checked as a
+    cluster: a dense QR scatters a defective zero of Jordan depth m by roughly
+    eps^(1/m), so the dense values left unpaired must have a tiny mean
+    (first-order exact) and stay inside a generous scatter bound, and their
+    count must equal n - n'. fuzz > 0 perturbs the formula side to
     exercise the failure path. Samples keep their own seeds but are solved in
     stacks of up to SWEEP_STACK; only the matching is per sample.
     """
@@ -406,22 +407,13 @@ def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
                 nonzero = eigs[zeros:]
                 if fuzz:
                     nonzero = nonzero + fuzz
-                if zeros == 0:
-                    dist, matched = spectral.spectra_match(nonzero, dense, tol)
-                    ok = ok and matched
-                else:
-                    from scipy.optimize import linear_sum_assignment
-
-                    cost = np.abs(nonzero[:, None] - dense[None, :])
-                    rows, cols = linear_sum_assignment(cost)
-                    dist = float(cost[rows, cols].max()) if rows.size else 0.0
-                    leftover = np.delete(dense, cols)
-                    scale = max(1.0, float(np.abs(lam).max()))
-                    centroid = abs(leftover.mean())
-                    scatter = float(np.abs(leftover).max())
-                    pair_scatter = max(pair_scatter, scatter)
-                    ok = ok and dist <= tol and centroid <= 1e-8 * scale \
-                        and scatter <= 0.05 * scale and leftover.size == zeros
+                dist, matched, leftover = spectral.spectra_match(nonzero, dense, tol)
+                scale = max(1.0, float(np.abs(lam).max()))
+                centroid = abs(leftover.sum() / max(leftover.size, 1))
+                scatter = float(np.abs(leftover).max(initial=0.0))
+                pair_scatter = max(pair_scatter, scatter)
+                ok = ok and matched and centroid <= 1e-8 * scale \
+                    and scatter <= 0.05 * scale and leftover.size == zeros
                 pair_worst = max(pair_worst, dist)
         record = {"n": n, "k": k, "max_distance": pair_worst,
                   "zero_multiplicity": spectrum.zero_multiplicity, "ok": ok}

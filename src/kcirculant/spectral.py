@@ -170,6 +170,13 @@ def block_products(dft_values, params: KCirculantParams) -> np.ndarray:
     return _assemble_products(log_mod, theta, partition)
 
 
+def _reduced_structure(n: int, k: int):
+    """structure(n, k mod n); k < 1 and k = 0 (mod n) get decompose's messages."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    return structure(n, k % n or n)
+
+
 def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     """Exact spectrum via the factorized characteristic polynomial.
 
@@ -181,7 +188,7 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     a = as_input_sequence(a, rows=True)
     if a.shape[-1] != n:
         raise ValueError(f"input length {a.shape[-1]} does not match n = {n}")
-    params, partition, idx = structure(n, k % n)
+    params, partition, idx = _reduced_structure(n, k)
     lam = dft(a)
     log_mod, theta = _log_block_products(lam, partition, idx)
     products = _assemble_products(log_mod, theta, partition)
@@ -215,7 +222,7 @@ def formula_radius(a, k: int, n: int) -> float:
     a = as_input_sequence(a)
     if a.size != n:
         raise ValueError(f"input length {a.size} does not match n = {n}")
-    _, partition, idx = structure(n, k % n)
+    _, partition, idx = _reduced_structure(n, k)
     with np.errstate(divide="ignore"):
         half_logs = np.log(np.abs(np.fft.rfft(a)))
     log_mod = np.add.reduceat(half_logs[np.minimum(idx, n - idx)], partition.starts)
@@ -251,7 +258,7 @@ def det_probe_oracle(a, k: int, n: int, trial_points) -> list[DetProbe]:
         raise ValueError("determinant probes are capped at n <= 512")
     A = build_matrix(a, k, n)
     spectrum = formula_spectrum(a, k, n)
-    _, partition, idx = structure(n, k % n)
+    _, partition, idx = _reduced_structure(n, k)
     log_mod, theta = _log_block_products(spectrum.dft, partition, idx)
     scale = math.sqrt(n)
     B = A / scale
@@ -311,43 +318,25 @@ def dense_spectrum_oracle(matrix) -> np.ndarray:
         raise RuntimeError(f"dense eigensolver failed to converge (n={M.shape[-1]})") from exc
 
 
-def spectra_match(s1, s2, tol: float) -> tuple[float, bool]:
-    """Largest pair distance of a pairing of two equal-size eigenvalue multisets.
+def spectra_match(s1, s2, tol: float) -> tuple[float, bool, np.ndarray]:
+    """Pair each value of s1 with a distinct value of s2 at the least summed distance.
 
-    Greedy pairing on a lexicographic (re, im) sort plus local swap repair; past
-    tol, also the sum-minimizing assignment, keeping the smaller largest distance.
-    Neither minimizes the largest distance. Returns (that distance, <= tol).
+    One linear_sum_assignment over |s1[i] - s2[j]|, for len(s1) <= len(s2).
+    The pairing minimizes the sum of distances, so its largest distance is an
+    upper bound on the bottleneck optimum (the smallest achievable largest
+    pair distance). Returns (largest pair distance, that distance <= tol, the
+    values of s2 left unpaired).
     """
+    from scipy.optimize import linear_sum_assignment
+
     e1 = np.asarray(s1, dtype=complex).ravel()
     e2 = np.asarray(s2, dtype=complex).ravel()
-    if e1.size != e2.size:
-        raise ValueError("multisets must have equal cardinality")
-    if e1.size == 0:
-        return 0.0, True
-    x = e1[np.lexsort((e1.imag, e1.real))]
-    y = e2[np.lexsort((e2.imag, e2.real))].copy()
-    d = np.abs(x - y)
-    for _ in range(4):
-        if d.max() <= tol:
-            break
-        improved = False
-        for i in range(x.size - 1):
-            alt = max(abs(x[i] - y[i + 1]), abs(x[i + 1] - y[i]))
-            if alt < max(d[i], d[i + 1]):
-                y[i], y[i + 1] = y[i + 1], y[i]
-                d[i] = abs(x[i] - y[i])
-                d[i + 1] = abs(x[i + 1] - y[i + 1])
-                improved = True
-        if not improved:
-            break
-    best = float(d.max())
-    if best > tol:
-        from scipy.optimize import linear_sum_assignment
-
-        cost = np.abs(x[:, None] - y[None, :])
-        rows, cols = linear_sum_assignment(cost)
-        best = min(best, float(cost[rows, cols].max()))
-    return best, best <= tol
+    if e1.size > e2.size:
+        raise ValueError(f"s1 has {e1.size} values but s2 only {e2.size}")
+    cost = np.abs(e1[:, None] - e2[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    dist = float(cost[rows, cols].max(initial=0.0))
+    return dist, dist <= tol, np.delete(e2, cols)
 
 
 def export_spectrum_csv(result: SpectrumResult, path, scale: float = 1.0,

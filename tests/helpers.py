@@ -216,22 +216,13 @@ def reference_oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
             nonzero = spectrum.eigenvalues[spectrum.zero_multiplicity:]
             if fuzz:
                 nonzero = nonzero + fuzz
-            if spectrum.zero_multiplicity == 0:
-                dist, matched = spectral.spectra_match(nonzero, dense, tol)
-                ok = ok and matched
-            else:
-                from scipy.optimize import linear_sum_assignment
-
-                cost = np.abs(nonzero[:, None] - dense[None, :])
-                rows, cols = linear_sum_assignment(cost)
-                dist = float(cost[rows, cols].max()) if rows.size else 0.0
-                leftover = np.delete(dense, cols)
-                scale = max(1.0, float(np.abs(spectrum.dft).max()))
-                centroid = abs(leftover.mean())
-                scatter = float(np.abs(leftover).max())
-                pair_scatter = max(pair_scatter, scatter)
-                ok = ok and dist <= tol and centroid <= 1e-8 * scale \
-                    and scatter <= 0.05 * scale and leftover.size == spectrum.zero_multiplicity
+            dist, matched, leftover = spectral.spectra_match(nonzero, dense, tol)
+            scale = max(1.0, float(np.abs(spectrum.dft).max()))
+            centroid = abs(leftover.sum() / max(leftover.size, 1))
+            scatter = float(np.abs(leftover).max(initial=0.0))
+            pair_scatter = max(pair_scatter, scatter)
+            ok = ok and matched and centroid <= 1e-8 * scale \
+                and scatter <= 0.05 * scale and leftover.size == spectrum.zero_multiplicity
             pair_worst = max(pair_worst, dist)
         record = {"n": n, "k": k, "max_distance": pair_worst,
                   "zero_multiplicity": spectrum.zero_multiplicity, "ok": ok}

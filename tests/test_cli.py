@@ -112,6 +112,25 @@ class TestSpectrum:
         assert "--trials" in out.stderr
         assert not path.exists()
 
+    @pytest.mark.parametrize("k, message", [("-1", "k must be at least 1"),
+                                            ("10", "k reduces to 0 mod n")])
+    def test_bad_k_refused_as_by_partition(self, k, message):
+        for command in ("spectrum", "partition"):
+            out = kcirc(command, "--k", k, "--n", "10")
+            assert out.returncode == 2, command
+            assert message in out.stderr, command
+
+    def test_law_alias_gives_same_bytes(self, tmp_path):
+        args = ["spectrum", "--k", "3", "--n", "20", "--seed", "5", "--trials", "2"]
+        for law in ("normal", "gaussian"):
+            assert kcirc(*args, "--law", law, "--out", str(tmp_path / law)).returncode == 0
+        assert (tmp_path / "normal").read_bytes() == (tmp_path / "gaussian").read_bytes()
+
+    def test_unknown_law_is_usage_error(self):
+        out = kcirc("spectrum", "--k", "3", "--n", "20", "--law", "foo")
+        assert out.returncode == 2
+        assert "foo" in out.stderr
+
     def test_preset_conflicts_with_explicit_flags(self):
         out = kcirc("spectrum", "--preset", "ring_k2", "--k", "3")
         assert out.returncode == 2
@@ -331,6 +350,7 @@ class TestOneOrbitWalkPerCommand:
         ["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--trials", "2"],
         ["gumbel", "--kk", "4", "--trials", "8"],
         ["partition", "--k", "3", "--n", "10"],
+        ["lsd", "--theorem", "3", "--k", "13", "--n", "10", "--trials", "2"],
     ])
     def test_command_walks_orbits_once(self, argv, monkeypatch, capsys):
         original = numtheory.eigen_partition
@@ -424,5 +444,14 @@ class TestScipyLoadedOnDemand:
     def test_lsd_loads_special_but_not_optimize(self):
         loaded = _scipy_modules_after("lsd", "--theorem", "3", "--k", "3", "--n", "10",
                                       "--trials", "2")
+        assert "scipy.special" in loaded
+        assert "scipy.optimize" not in loaded
+
+    def test_verify_loads_optimize(self):
+        assert "scipy.optimize" in _scipy_modules_after("verify", "--nmax", "3",
+                                                        "--samples", "1")
+
+    def test_tail_loads_special_but_not_optimize(self):
+        loaded = _scipy_modules_after("tail", "--x", "1")
         assert "scipy.special" in loaded
         assert "scipy.optimize" not in loaded

@@ -216,7 +216,6 @@ class TestEsd:
         a[0] = 1.0
         sample = esd(formula_spectrum(a, 1, 4))
         assert np.allclose(sample.points, 0.5)
-        assert sample.excluded_zeros == 0
 
     def test_zero_exclusion_flag(self):
         rng = np.random.default_rng(6)
@@ -224,10 +223,6 @@ class TestEsd:
         included = esd(spectrum)
         assert included.points.size == 6
         assert included.structural_zeros_in_points == 3
-        excluded = esd(spectrum, include_zeros=False)
-        assert excluded.points.size == 3
-        assert excluded.excluded_zeros == 3
-        assert excluded.points.size + excluded.excluded_zeros == 6
 
     def test_angles_on_quarter_grid_k10_n101(self):
         rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import warnings
 
@@ -178,7 +179,7 @@ class TestFormulaSpectrum:
         rng = np.random.default_rng(6)
         a = rng.standard_normal(11)
         spectrum = formula_spectrum(a, 1, 11)
-        dist, ok = spectra_match(spectrum.eigenvalues, dft(a), 1e-10)
+        dist, ok, _ = spectra_match(spectrum.eigenvalues, dft(a), 1e-10)
         assert ok, dist
 
     def test_delta_gives_roots_of_unity(self):
@@ -191,7 +192,7 @@ class TestFormulaSpectrum:
         # {1} union two sets of cube roots of unity
         cube = np.exp(2j * np.pi * np.arange(3) / 3)
         expected = np.concatenate([[1.0], cube, cube])
-        dist, ok = spectra_match(spectrum.eigenvalues, expected, 1e-12)
+        dist, ok, _ = spectra_match(spectrum.eigenvalues, expected, 1e-12)
         assert ok, dist
 
     def test_zero_multiplicity_k2_n6(self):
@@ -236,19 +237,13 @@ class TestFormulaSpectrum:
                 spectrum = formula_spectrum(a, k, n)
                 dense = dense_spectrum_oracle(build_matrix(a, k, n))
                 nz = spectrum.eigenvalues[spectrum.zero_multiplicity:]
-                if spectrum.zero_multiplicity == 0:
-                    dist, ok = spectra_match(nz, dense, 1e-7 * n)
-                    assert ok, (n, k, dist)
-                else:
-                    from scipy.optimize import linear_sum_assignment
-                    cost = np.abs(nz[:, None] - dense[None, :])
-                    rows, cols = linear_sum_assignment(cost)
-                    assert cost[rows, cols].max() <= 1e-7 * n, (n, k)
+                dist, ok, _ = spectra_match(nz, dense, 1e-7 * n)
+                assert ok, (n, k, dist)
 
     def test_two_by_two_closed_form(self):
         a = np.array([3.0, 0.5])
         spectrum = formula_spectrum(a, 1, 2)
-        dist, ok = spectra_match(spectrum.eigenvalues, [3.5, 2.5], 1e-12)
+        dist, ok, _ = spectra_match(spectrum.eigenvalues, [3.5, 2.5], 1e-12)
         assert ok, dist
 
 
@@ -356,6 +351,23 @@ class TestFormulaRadius:
             formula_radius(np.ones(5), 2, 6)
 
 
+class TestKReduction:
+    @pytest.mark.parametrize("fn", [formula_spectrum, formula_radius])
+    @pytest.mark.parametrize("k, message", [(-1, "k must be at least 1"),
+                                            (0, "k must be at least 1"),
+                                            (10, "k reduces to 0 mod n"),
+                                            (20, "k reduces to 0 mod n")])
+    def test_refused_with_decompose_message(self, fn, k, message):
+        with pytest.raises(ValueError, match=message):
+            fn(np.ones(10), k, 10)
+
+    def test_k_above_n_is_reduced(self):
+        a = np.random.default_rng(19).standard_normal(10)
+        assert np.array_equal(formula_spectrum(a, 13, 10).eigenvalues,
+                              formula_spectrum(a, 3, 10).eigenvalues)
+        assert formula_radius(a, 13, 10) == formula_radius(a, 3, 10)
+
+
 class TestDenseOracle:
     def test_identity_matrix(self):
         assert np.allclose(sorted(dense_spectrum_oracle(np.eye(5)).real), 1.0)
@@ -370,7 +382,7 @@ class TestDenseOracle:
         dense = dense_spectrum_oracle(build_matrix(a, 2, 7))
         cube = np.exp(2j * np.pi * np.arange(3) / 3)
         expected = np.concatenate([[1.0], cube, cube])
-        dist, ok = spectra_match(dense, expected, 1e-8)
+        dist, ok, _ = spectra_match(dense, expected, 1e-8)
         assert ok, dist
 
 
@@ -407,37 +419,84 @@ class TestDetProbe:
 class TestSpectraMatch:
     def test_identical(self):
         vals = np.array([1 + 1j, 2 - 1j, 0.5j])
-        assert spectra_match(vals, vals, 1e-12) == (0.0, True)
+        dist, ok, leftover = spectra_match(vals, vals, 1e-12)
+        assert (dist, ok, leftover.size) == (0.0, True, 0)
 
     def test_small_perturbation(self):
         rng = np.random.default_rng(15)
         vals = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         jig = vals + 1e-10 * (1 + 1j)
-        dist, ok = spectra_match(vals, rng.permutation(jig), 1e-8)
+        dist, ok, _ = spectra_match(vals, rng.permutation(jig), 1e-8)
         assert ok and dist < 1e-9
 
     def test_detects_mismatch(self):
-        dist, ok = spectra_match([1.0, 2.0], [1.0, 3.0], 1e-3)
+        dist, ok, _ = spectra_match([1.0, 2.0], [1.0, 3.0], 1e-3)
         assert not ok and dist == pytest.approx(1.0)
 
     def test_cardinality_mismatch(self):
         with pytest.raises(ValueError):
-            spectra_match([1.0], [1.0, 2.0], 1.0)
+            spectra_match([1.0, 2.0], [1.0], 1.0)
+
+    def test_unpaired_values_are_returned(self):
+        dist, ok, leftover = spectra_match([2.0, 1j], [0.01, 1j, 2.0 + 1e-9, -0.02], 1e-8)
+        assert ok and dist == pytest.approx(1e-9)
+        assert sorted(leftover.real) == [-0.02, 0.01]
 
     def test_formula_vs_dense_k5_n12(self):
         rng = np.random.default_rng(16)
         a = rng.standard_normal(12)
         spectrum = formula_spectrum(a, 5, 12)
         dense = dense_spectrum_oracle(build_matrix(a, 5, 12))
-        dist, ok = spectra_match(spectrum.eigenvalues, dense, 1e-7)
+        dist, ok, _ = spectra_match(spectrum.eigenvalues, dense, 1e-7)
         assert ok, dist
 
     def test_conjugate_cloud_needs_assignment_fallback(self):
-        # near-ties in the real part make the lexicographic greedy pairing
-        # fail; the assignment fallback must recover it
+        # near-ties in the real part defeat a pairing by lexicographic sort;
+        # the assignment must still pair each conjugate with its twin
         base = np.array([1.0 + 1e-13 + 1.0j, 1.0 - 1.0j, 1.0 + 1e-13 - 1.0j, 1.0 + 1.0j])
-        dist, ok = spectra_match(base[:2][::-1], base[2:], 1e-8)
+        dist, ok, _ = spectra_match(base[:2][::-1], base[2:], 1e-8)
         assert ok, dist
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            # a small pool with exact ties (repeated draws), near-ties (1e-13
+            # apart) and a conjugate pair, so equal-cost pairings are common
+            base = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            pool = np.concatenate([base, base[:2] + 1e-13, base[:1].conj()])
+            n = int(rng.integers(1, 7))
+            s1 = rng.choice(pool, int(rng.integers(0, n + 1)))
+            s2 = rng.choice(pool, n) + rng.choice([0.0, 0.0, 1e-3j], n)
+            dist, ok, leftover = spectra_match(s1, s2, 1e-2)
+            pairings = []  # (summed distance, largest distance, s2 left unpaired)
+            for perm in itertools.permutations(range(n), s1.size):
+                d = np.abs(s1 - s2[list(perm)])
+                pairings.append((d.sum(), d.max(initial=0.0),
+                                 np.sort(np.delete(s2, list(perm)))))
+            least_sum = min(p[0] for p in pairings)
+            assert dist >= min(p[1] for p in pairings)
+            assert ok == (dist <= 1e-2)
+            # some least-sum pairing has exactly the returned distance and leftover
+            assert any(abs(total - least_sum) <= 1e-12 and largest == dist
+                       and np.array_equal(rest, np.sort(leftover))
+                       for total, largest, rest in pairings), (s1, s2)
+
+    @pytest.mark.parametrize("k, n", [(2, 18), (4, 15)])
+    def test_moved_eigenvalue_fails(self, k, n):
+        # (2, 18) has 9 structural zeros whose dense values stay unpaired;
+        # (4, 15) has none. Moving any one nonzero eigenvalue by 10 * tol must fail.
+        a = np.random.default_rng(18).standard_normal(n)
+        spectrum = formula_spectrum(a, k, n)
+        dense = dense_spectrum_oracle(build_matrix(a, k, n))
+        nonzero = spectrum.eigenvalues[spectrum.zero_multiplicity:]
+        tol = 1e-7 * n
+        assert spectra_match(nonzero, dense, tol)[1]
+        for j in range(nonzero.size):
+            moved = nonzero.copy()
+            moved[j] += 10 * tol * np.exp(0.7j)
+            dist, ok, _ = spectra_match(moved, dense, tol)
+            assert not ok and dist > 9 * tol, (j, dist)
 
 
 class TestExport:
