@@ -1,73 +1,14 @@
 """Exact spectra of random k-circulant matrices, their limiting spectral
 distributions, and spectral-radius extreme-value statistics."""
 
-from .numtheory import (
-    KCirculantParams,
-    EigenPartition,
-    RegimeClassification,
-    decompose,
-    orbit,
-    multiplicative_order,
-    eigen_partition,
-    upsilon,
-    lower_order_count_ie,
-    gcd_power_bound,
-    classify_regime,
-)
-from .spectral import (
-    SpectrumResult,
-    as_input_sequence,
-    build_matrix,
-    dft,
-    dft_naive,
-    block_products,
-    formula_spectrum,
-    formula_radius,
-    det_probe_oracle,
-    dense_spectrum_oracle,
-    spectra_match,
-    export_spectrum_csv,
-)
-from .limits import (
-    EULER_GAMMA,
-    DEGENERATE_RADIUS,
-    LsdLaw,
-    EsdSample,
-    radial_tail,
-    lsd_radial_cdf,
-    lsd_sample,
-    esd,
-    ks_one_sample,
-    ks_two_sample,
-    ks_radial,
-    angular_test,
-    band_mass,
-    export_points_csv,
-)
-from .extremes import (
-    GumbelNormalization,
-    gumbel_cdf,
-    normalization,
-    kbar,
-    kbar_asymptotic,
-    spectral_radius,
-    standardize_radius,
-    iid_max_reference,
-    export_radii_csv,
-)
-from .montecarlo import (
-    HypothesisError,
-    InputLaw,
-    INPUT_LAWS,
-    input_law,
-    ExperimentConfig,
-    ExperimentReport,
-    FIGURE_PRESETS,
-    derive_trial_seed,
-    hypothesis_check,
-    run_lsd_experiment,
-    run_gumbel_experiment,
-    oracle_sweep,
-)
+from . import extremes, limits, montecarlo, numtheory, spectral
+from .extremes import *  # noqa: F401,F403
+from .limits import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .numtheory import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
+
+__all__ = [*numtheory.__all__, *spectral.__all__, *limits.__all__,
+           *extremes.__all__, *montecarlo.__all__]
 
 __version__ = "0.1.0"

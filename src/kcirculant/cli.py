@@ -43,6 +43,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _x_values(text: str) -> list[float]:
+    """argparse type of tail's --x: comma- or space-separated finite values >= 0."""
+    values = [_finite_float(token) for token in text.replace(",", " ").split()]
+    if any(x < 0 for x in values):
+        raise argparse.ArgumentTypeError(f"expected nonnegative numbers, got {text!r}")
+    return values
+
+
 def _config_tokens(path: str) -> list[str]:
     """Turn a flat key=value file, keys named as flags, into --key=value tokens."""
     tokens = []
@@ -253,12 +261,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    xs = [float(v) for chunk in args.x for v in chunk.replace(",", " ").split()]
+    xs = [x for chunk in args.x for x in chunk]
     if not xs:
         raise ValueError("tail needs at least one x value")
-    for x in xs:
-        if not 0.0 <= x < math.inf:
-            raise ValueError(f"--x must be finite and nonnegative, got {x}")
     print(f"{'x':>12} {'tail':>16} {'asymptotic':>16} {'ratio':>10}")
     for x in xs:
         kb = extremes.kbar(x)
@@ -342,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tail", help="table of P(E1*E2 > x) vs its asymptotic")
-    p.add_argument("--x", action="append", required=True,
+    p.add_argument("--x", type=_x_values, action="append", required=True,
                    help="comma- or space-separated x values; repeatable")
     p.set_defaults(func=cmd_tail)
 

@@ -1,6 +1,6 @@
 """Spectral-radius extreme-value machinery.
 
-The Gumbel family exp(-theta * e^(-x)), the normalizing constants used to
+The standard Gumbel CDF exp(-e^(-x)), the normalizing constants used to
 center and scale maxima of (E1*E2)^(1/4) variables, the tail probability
 P(E1*E2 > x) with its large-x asymptotic, and an i.i.d.-maximum reference
 sampler that serves as the convergence yardstick for spectral-radius
@@ -23,23 +23,16 @@ __all__ = [
     "normalization",
     "kbar",
     "kbar_asymptotic",
-    "spectral_radius",
     "standardize_radius",
     "iid_max_reference",
     "export_radii_csv",
 ]
 
 
-def gumbel_cdf(x, theta: float = 1.0):
-    """CDF exp(-theta * e^(-x)); theta = 1 is the standard case.
-
-    Accepts scalars or arrays. Satisfies gumbel_cdf(x, theta) ==
-    gumbel_cdf(x - log(theta)).
-    """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+def gumbel_cdf(x):
+    """Standard Gumbel CDF exp(-e^(-x)) of a scalar or an array."""
     x = np.asarray(x, dtype=float)
-    out = np.exp(-theta * np.exp(-x))
+    out = np.exp(-np.exp(-x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -93,26 +86,16 @@ def kbar_asymptotic(x: float) -> float:
     return math.sqrt(math.pi) * x**0.25 * math.exp(-2.0 * math.sqrt(x))
 
 
-def spectral_radius(spectrum) -> float:
-    """Maximum modulus over an eigenvalue multiset (SpectrumResult or array)."""
-    eigs = np.asarray(getattr(spectrum, "eigenvalues", spectrum))
-    if eigs.size == 0:
-        raise ValueError("empty spectrum")
-    return float(np.abs(eigs).max())
-
-
 def standardize_radius(sp, norm: GumbelNormalization):
     """Center and scale a spectral radius: (sp - d_q) / c_q."""
     return (sp - norm.d_q) / norm.c_q
 
 
-def iid_max_reference(q: int, trials: int, rng) -> np.ndarray:
+def iid_max_reference(q: int, trials: int, master_seed: int) -> np.ndarray:
     """Standardized maxima of q i.i.d. (E1*E2)^(1/4) draws, one per trial.
 
-    rng may be an integer master seed (each trial then gets an independent
-    derived stream, so results do not depend on execution order) or any
-    generator-like object with an .exponential method, which is consumed
-    sequentially.
+    Each trial draws from its own stream derived from master_seed, so results
+    do not depend on execution order.
     """
     if q < 2:
         raise ValueError("q must be at least 2")
@@ -120,15 +103,10 @@ def iid_max_reference(q: int, trials: int, rng) -> np.ndarray:
         raise ValueError("trials must be at least 1")
     norm = normalization(q)
     maxima = np.empty(trials)
-    if isinstance(rng, (int, np.integer)):
-        for i in range(trials):
-            gen = np.random.default_rng(derive_trial_seed(int(rng), i))
-            prod = gen.exponential(size=q) * gen.exponential(size=q)
-            maxima[i] = prod.max()
-    else:
-        for i in range(trials):
-            prod = np.asarray(rng.exponential(size=q)) * np.asarray(rng.exponential(size=q))
-            maxima[i] = prod.max()
+    for i in range(trials):
+        gen = np.random.default_rng(derive_trial_seed(master_seed, i))
+        prod = gen.exponential(size=q) * gen.exponential(size=q)
+        maxima[i] = prod.max()
     # max of the quarter powers = quarter power of the max
     return standardize_radius(maxima**0.25, norm)
 

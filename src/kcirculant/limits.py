@@ -22,23 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import write_text
-
 __all__ = [
     "EULER_GAMMA",
     "DEGENERATE_RADIUS",
     "LsdLaw",
     "EsdSample",
-    "radial_tail",
-    "lsd_radial_cdf",
-    "lsd_sample",
     "esd",
     "ks_one_sample",
     "ks_two_sample",
     "ks_radial",
     "angular_test",
     "band_mass",
-    "export_points_csv",
 ]
 
 EULER_GAMMA = 0.57721566490153286061
@@ -105,28 +99,6 @@ class EsdSample:
         return self.points[self.structural_zeros_in_points :]
 
 
-def radial_tail(g: int, y: float) -> float:
-    """P(E_1 * ... * E_g > y) for independent unit exponentials.
-
-    One minus the radial CDF at y^(1/2g) (module docstring), so
-    the error is absolute: 0 once g exp(-y^(1/g)) < 1e-16, about 1e-15 else.
-    extremes.kbar has the g = 2 tail to relative accuracy.
-    """
-    law = LsdLaw.uniform_circle_product(g)
-    if y < 0:
-        raise ValueError("y must be nonnegative")
-    return 1.0 - lsd_radial_cdf(law, float(y) ** (0.5 / law.g))
-
-
-def lsd_radial_cdf(law: LsdLaw, x: float) -> float:
-    """P(radius <= x) for a product law: 1 - radial_tail(g, x^(2g))."""
-    if not law.is_product:
-        raise ValueError("the degenerate-circle law has a point-mass radius; use band_mass")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return float(_radial_cdf(law.g, np.array([float(x)]))[0])
-
-
 def _radial_cdf(g: int, radii: np.ndarray) -> np.ndarray:
     from scipy.special import gammaincc, k1
 
@@ -162,23 +134,6 @@ def _inversion_grid(g: int, per_unit: int):
     log_phi = g * loggamma(1 + 1j * t)
     weight = np.tile(w * horizon / (2 * panels), panels) * np.exp(log_phi.real) / t
     return t, log_phi.imag, weight
-
-
-def lsd_sample(law: LsdLaw, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw count i.i.d. points from the law; radius and angle independent."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if law.is_product:
-        g = law.g
-        radius = rng.exponential(1.0, size=(count, g)).prod(axis=1) ** (1.0 / (2 * g))
-        if law.variant == _ROOTS:
-            angles = (math.pi / g) * rng.integers(0, 2 * g, size=count)
-        else:
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    else:
-        radius = np.full(count, law.radius)
-        angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
-    return radius * np.exp(1j * angles)
 
 
 def esd(spectrum) -> EsdSample:
@@ -263,12 +218,3 @@ def band_mass(sample: EsdSample, r: float, epsilon: float) -> float:
         return 0.0
     radii = np.abs(pts)
     return float(np.mean((radii > r - epsilon) & (radii < r + epsilon)))
-
-
-def export_points_csv(points, tags, path) -> None:
-    """Write a point cloud as CSV rows re,im,tag (repr floats, reproducible)."""
-    points = np.asarray(points, dtype=complex)
-    lines = ["re,im,tag"]
-    for z, tag in zip(points, tags):
-        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{tag}")
-    write_text(path, "\n".join(lines) + "\n")

@@ -41,8 +41,8 @@ __all__ = [
 
 DEFAULT_MASTER_SEED = 20260811
 DFT_EXPERIMENT_CAP = 200_000
-DENSE_ORACLE_CAP = 128
 SWEEP_STACK = 8  # samples per stacked formula and dense solve in oracle_sweep
+SWEEP_TOL_FACTOR = 1e-7  # oracle_sweep matches within this times n
 G_MAX = 24  # largest product exponent g an experiment accepts or infers
 _REFERENCE_STREAM = 1 << 48  # seed-index offset for auxiliary reference samples
 
@@ -367,32 +367,32 @@ def run_gumbel_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
-                 tol_factor: float = 1e-7, fuzz: float = 0.0) -> ExperimentReport:
+                 fuzz: float = 0.0) -> ExperimentReport:
     """Formula-vs-dense-eigensolver sweep over every (k, n) with n <= n_max.
 
     One spectra_match call per sample pairs the nonzero formula eigenvalues
-    with dense ones, within tol_factor * n. Structural zeros are checked as a
-    cluster: a dense QR scatters a defective zero of Jordan depth m by roughly
-    eps^(1/m), so the dense values left unpaired must have a tiny mean
+    with dense ones, within SWEEP_TOL_FACTOR * n. Structural zeros are checked
+    as a cluster: a dense QR scatters a defective zero of Jordan depth m by
+    roughly eps^(1/m), so the dense values left unpaired must have a tiny mean
     (first-order exact) and stay inside a generous scatter bound, and their
     count must equal n - n'. fuzz > 0 perturbs the formula side to
     exercise the failure path. Samples keep their own seeds but are solved in
     stacks of up to SWEEP_STACK; only the matching is per sample.
     """
     t0 = time.perf_counter()
-    if n_max > DENSE_ORACLE_CAP:
-        raise ValueError(f"dense sweep capped at n <= {DENSE_ORACLE_CAP}")
+    if n_max > spectral.DENSE_ORACLE_CAP:
+        raise ValueError(f"dense sweep capped at n <= {spectral.DENSE_ORACLE_CAP}")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     if samples_per_pair < 1:
         raise ValueError("samples_per_pair must be at least 1")
-    _require_finite({"tol_factor": tol_factor, "fuzz": fuzz})
+    _require_finite({"fuzz": fuzz})
     pairs = [(n, k) for n in range(2, n_max + 1) for k in range(1, n)]
     trials = []
     failures = []
     worst = 0.0
     for idx, (n, k) in enumerate(pairs):
-        tol = tol_factor * n
+        tol = SWEEP_TOL_FACTOR * n
         pair_worst = pair_scatter = 0.0
         ok = True
         seeds = [derive_trial_seed(master_seed, idx * samples_per_pair + s)
@@ -429,7 +429,7 @@ def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
                   "failure_list": failures}
     config = {"kind": "oracle_sweep", "n_max": n_max,
               "samples_per_pair": samples_per_pair, "master_seed": master_seed,
-              "tol_factor": tol_factor, "fuzz": fuzz}
+              "tol_factor": SWEEP_TOL_FACTOR, "fuzz": fuzz}
     return ExperimentReport(config=config, hypothesis={}, trials=trials,
                             aggregates=aggregates, passed=not failures,
                             wall_clock_seconds=time.perf_counter() - t0)

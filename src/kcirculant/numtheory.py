@@ -2,9 +2,9 @@
 
 Everything in this module is exact integer arithmetic, on Python ints and
 numpy integer arrays: the common-factor decomposition of (k, n), the orbits of
-t -> t*k (mod n') that partition Z_{n'}, orbit orders and conjugacy, and the
-counting quantities that measure how many elements sit in orbits smaller than
-the largest one.
+t -> t*k (mod n') that partition Z_{n'}, orbit orders and conjugacy, the
+fraction upsilon of Z_{n'} in orbits smaller than the largest one, and the
+congruence k^g = +-1 (mod n) that selects a limit law.
 """
 
 from __future__ import annotations
@@ -21,13 +21,9 @@ __all__ = [
     "EigenPartition",
     "RegimeClassification",
     "decompose",
-    "orbit",
     "multiplicative_order",
     "eigen_partition",
     "structure",
-    "upsilon",
-    "lower_order_count_ie",
-    "gcd_power_bound",
     "classify_regime",
 ]
 
@@ -118,26 +114,6 @@ def decompose(n: int, k: int) -> KCirculantParams:
                             common_primes=tuple(common))
 
 
-def orbit(x: int, k: int, n_prime: int) -> tuple[list[int], int]:
-    """Orbit {x * k^b mod n'} of x under multiplication by k, and its size.
-
-    The size is the least b > 0 with x*k^b = x (mod n'). Requires
-    gcd(k, n') = 1 so that multiplication by k permutes Z_{n'}.
-    """
-    if n_prime < 1:
-        raise ValueError("n_prime must be positive")
-    if not 0 <= x < n_prime:
-        raise ValueError("x must lie in Z_{n_prime}")
-    if n_prime > 1 and math.gcd(k, n_prime) != 1:
-        raise ValueError("k must be invertible mod n_prime")
-    members = [x]
-    y = x * k % n_prime
-    while y != x:
-        members.append(y)
-        y = y * k % n_prime
-    return sorted(members), len(members)
-
-
 def multiplicative_order(k: int, m: int) -> int:
     """Least b > 0 with k^b = 1 (mod m); order 1 by convention when m = 1.
 
@@ -190,9 +166,6 @@ class EigenPartition:
     def __post_init__(self):
         for arr in (self.members, self.starts, self.sizes, self.conjugate):
             arr.setflags(write=False)  # shared through the structure cache
-
-    def is_self_conjugate(self, j: int) -> bool:
-        return bool(self.conjugate[j] == j)
 
     @cached_property
     def self_conjugate(self) -> np.ndarray:
@@ -261,56 +234,6 @@ def structure(n: int, k: int) -> tuple[KCirculantParams, EigenPartition, np.ndar
     dft_indices = partition.members * (n // params.n_prime)
     dft_indices.setflags(write=False)
     return params, partition, dft_indices
-
-
-def upsilon(params: KCirculantParams) -> Fraction:
-    """Fraction of Z_{n'} sitting in orbits strictly smaller than the largest.
-
-    Read off the orbit sizes of the partition, so it is checked against the
-    independent inclusion-exclusion count in lower_order_count_ie.
-    """
-    return structure(params.n, params.k)[1].upsilon
-
-
-def lower_order_count_ie(params: KCirculantParams) -> int:
-    """Count of x in Z_{n'} with orbit size < g1, by inclusion-exclusion.
-
-    Alternating sum of gcd(k^(g1/l) - 1, n') over square-free products l of
-    the distinct primes of g1. Powers are taken mod n' first; gcd(a, n')
-    only depends on a mod n', so nothing ever leaves machine words.
-    """
-    m = params.n_prime
-    if m == 1:
-        return 0
-    kp = params.k % m
-    g1 = multiplicative_order(kp, m)
-    primes = [p for p, _ in factorize(g1)]
-    total = 0
-    for mask in range(1, 1 << len(primes)):
-        ell = 1
-        bits = 0
-        for i, p in enumerate(primes):
-            if mask >> i & 1:
-                ell *= p
-                bits += 1
-        term = math.gcd(pow(kp, g1 // ell, m) - 1, m)
-        total += term if bits % 2 else -term
-    return total
-
-
-def gcd_power_bound(k: int, b: int, c: int, sign_b: int, sign_c: int) -> tuple[int, int, bool]:
-    """Evaluate gcd(k^b + sign_b, k^c + sign_c) against the bound k^gcd(b,c) + 1.
-
-    Returns (lhs, bound, lhs <= bound); the inequality holds for every k >= 2
-    and all four sign combinations.
-    """
-    if k < 2 or b < 1 or c < 1:
-        raise ValueError("need k >= 2 and b, c >= 1")
-    if sign_b not in (-1, 1) or sign_c not in (-1, 1):
-        raise ValueError("signs must be +1 or -1")
-    lhs = math.gcd(k**b + sign_b, k**c + sign_c)
-    bound = k ** math.gcd(b, c) + 1
-    return lhs, bound, lhs <= bound
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact spectra of k-circulant matrices and brute-force oracles.
+"""Exact spectra of k-circulant matrices and the dense check behind them.
 
 The characteristic polynomial of the n x n matrix whose row j is the input
 shifted right by j*k factors as
@@ -6,14 +6,13 @@ shifted right by j*k factors as
     lambda^(n - n') * prod_j (lambda^(n_j) - Pi_j)
 
 where Pi_j multiplies the input DFT over the j-th orbit of t -> t*k (mod n').
-This module builds the dense matrix, the DFT, the per-orbit products, the
-exact eigenvalue multiset and spectral radius, plus LU-determinant and
-dense-eigensolver oracles used to cross-check all of it.
+This module builds the dense matrix, the DFT, the per-orbit products in log
+form, the exact eigenvalue multiset and spectral radius, plus the dense
+eigensolver and the matcher that the verify sweep compares them with.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,21 +23,18 @@ from .numtheory import KCirculantParams, EigenPartition, structure
 
 __all__ = [
     "SpectrumResult",
-    "DetProbe",
     "as_input_sequence",
     "build_matrix",
     "dft",
-    "dft_naive",
-    "block_products",
     "formula_spectrum",
     "formula_radius",
-    "det_probe_oracle",
     "dense_spectrum_oracle",
     "spectra_match",
     "export_spectrum_csv",
 ]
 
 TWO_PI = 2.0 * math.pi
+DENSE_ORACLE_CAP = 128  # largest n the dense eigensolver oracle accepts
 
 
 def as_input_sequence(values, rows: bool = False) -> np.ndarray:
@@ -82,21 +78,6 @@ def dft(a) -> np.ndarray:
     return lam
 
 
-def dft_naive(a, t_values=None) -> np.ndarray:
-    """Direct O(n^2) evaluation of the same DFT, kept as an independent oracle.
-
-    Pass t_values to evaluate only selected coefficients.
-    """
-    a = as_input_sequence(a)
-    n = a.size
-    ts = np.arange(n) if t_values is None else np.asarray(t_values, dtype=int)
-    ls = np.arange(n)
-    out = np.empty(ts.size, dtype=complex)
-    for i, t in enumerate(ts):
-        out[i] = np.sum(a * np.exp(2j * np.pi * (t % n) * ls / n))
-    return out
-
-
 def _log_block_products(lam: np.ndarray, partition: EigenPartition,
                         dft_indices: np.ndarray):
     """Per-block DFT products in log form: (log modulus, principal angle).
@@ -122,52 +103,23 @@ def _log_block_products(lam: np.ndarray, partition: EigenPartition,
     return log_mod, theta
 
 
-def _assemble_products(log_mod: np.ndarray, theta: np.ndarray,
-                       partition: EigenPartition) -> np.ndarray:
-    """Materialize complex block products; huge blocks may overflow to inf."""
-    with np.errstate(over="ignore"):
-        mod = np.exp(log_mod)
-    out = np.empty(log_mod.shape, dtype=complex)
-    sc = partition.self_conjugate  # indexes the block axis, first in each .T view
-    out.T[sc] = mod.T[sc] * np.where(theta.T[sc] == 0.0, 1.0, -1.0)
-    nsc = ~sc
-    out.T[nsc] = mod.T[nsc] * (np.cos(theta.T[nsc]) + 1j * np.sin(theta.T[nsc]))
-    return out
-
-
 @dataclass
 class SpectrumResult:
     """Exact eigenvalue multiset of a k-circulant.
 
     eigenvalues holds the n - n' structural zeros first (exact 0+0j), then for
     each orbit block its n_j roots of Pi_j in root order r = 0..n_j-1.
-    block_index is -1 for structural zeros. block_products stores the complex
-    Pi_j; for very large blocks these can overflow to inf even though the
-    roots themselves (computed from logs) stay finite. A stack of inputs gives
-    eigenvalues, block_products and dft one row per input; the rest is shared.
+    block_index is -1 for structural zeros. A stack of inputs gives
+    eigenvalues and dft one row per input; the rest is shared.
     """
 
     eigenvalues: np.ndarray
     zero_multiplicity: int
-    block_products: np.ndarray
     dft: np.ndarray
     params: KCirculantParams
     partition: EigenPartition
     block_index: np.ndarray
     root_index: np.ndarray
-
-
-def block_products(dft_values, params: KCirculantParams) -> np.ndarray:
-    """Products Pi_j of DFT values lambda_{t * n/n'} over each orbit block.
-
-    The blocks are those of the cached structure of (params.n, params.k).
-    """
-    lam = np.asarray(dft_values, dtype=complex)
-    if lam.size != params.n:
-        raise ValueError("DFT length must equal n")
-    _, partition, idx = structure(params.n, params.k)
-    log_mod, theta = _log_block_products(lam, partition, idx)
-    return _assemble_products(log_mod, theta, partition)
 
 
 def _reduced_structure(n: int, k: int):
@@ -191,7 +143,6 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     params, partition, idx = _reduced_structure(n, k)
     lam = dft(a)
     log_mod, theta = _log_block_products(lam, partition, idx)
-    products = _assemble_products(log_mod, theta, partition)
 
     m = params.n_prime
     sizes = partition.sizes
@@ -206,10 +157,9 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     eigs = np.concatenate([np.zeros(a.shape[:-1] + (zeros,), complex), roots], axis=-1)
     block_index = np.concatenate([np.full(zeros, -1, dtype=np.int64), j_of])
     root_index = np.concatenate([np.arange(zeros, dtype=np.int64), r])
-    return SpectrumResult(eigenvalues=eigs, zero_multiplicity=zeros,
-                          block_products=products, dft=lam, params=params,
-                          partition=partition, block_index=block_index,
-                          root_index=root_index)
+    return SpectrumResult(eigenvalues=eigs, zero_multiplicity=zeros, dft=lam,
+                          params=params, partition=partition,
+                          block_index=block_index, root_index=root_index)
 
 
 def formula_radius(a, k: int, n: int) -> float:
@@ -229,75 +179,6 @@ def formula_radius(a, k: int, n: int) -> float:
     return float(np.exp(log_mod * (1.0 / partition.sizes)).max())
 
 
-@dataclass
-class DetProbe:
-    point: complex
-    det_lu: complex
-    det_formula: complex
-    rel_diff: float
-
-
-def _safe_exp(z: complex) -> complex:
-    if z.real > 700.0:
-        return complex(math.inf, 0.0)
-    if z.real < -745.0:
-        return 0j
-    return cmath.exp(z)
-
-
-def det_probe_oracle(a, k: int, n: int, trial_points) -> list[DetProbe]:
-    """Compare det(lambda*I - A) from LU elimination with the factorized form.
-
-    Both sides are evaluated in log space on the 1/sqrt(n)-scaled matrix so
-    dimensions up to a few hundred cannot overflow; rel_diff is
-    |exp(log difference) - 1| with the phase reduced mod 2*pi. A probe that
-    lands on the spectrum to machine precision is nudged deterministically
-    and retried.
-    """
-    if n > 512:
-        raise ValueError("determinant probes are capped at n <= 512")
-    A = build_matrix(a, k, n)
-    spectrum = formula_spectrum(a, k, n)
-    _, partition, idx = _reduced_structure(n, k)
-    log_mod, theta = _log_block_products(spectrum.dft, partition, idx)
-    scale = math.sqrt(n)
-    B = A / scale
-    eye = np.eye(n)
-    half_log_n = 0.5 * math.log(n)
-    zeros = spectrum.zero_multiplicity
-
-    out = []
-    for point in trial_points:
-        lam = complex(point)
-        for _ in range(25):
-            lam_s = lam / scale
-            sign, logabs = np.linalg.slogdet(lam_s * eye - B)
-            if sign != 0 and np.isfinite(logabs):
-                break
-            lam = lam * 1.000001 + 1e-9 * (1 + 1j)
-        else:
-            raise RuntimeError(f"could not move probe {point} off the spectrum")
-        log_lu = complex(n * half_log_n + logabs, cmath.phase(complex(sign)))
-
-        log_formula = zeros * cmath.log(lam) if zeros else 0j
-        for j in range(partition.block_count):
-            nj = int(partition.sizes[j])
-            pi_scaled = _safe_exp(complex(log_mod[j] - nj * half_log_n, 0)) \
-                * cmath.exp(1j * theta[j])
-            factor = lam_s**nj - pi_scaled
-            log_formula += cmath.log(factor) + nj * half_log_n
-
-        delta = log_formula - log_lu
-        d_im = math.remainder(delta.imag, TWO_PI)
-        if abs(delta.real) > 1.0:
-            rel = math.inf
-        else:
-            rel = abs(cmath.exp(complex(delta.real, d_im)) - 1.0)
-        out.append(DetProbe(point=lam, det_lu=_safe_exp(log_lu),
-                            det_formula=_safe_exp(log_formula), rel_diff=rel))
-    return out
-
-
 def dense_spectrum_oracle(matrix) -> np.ndarray:
     """Ground-truth eigenvalues of a small dense matrix.
 
@@ -310,8 +191,8 @@ def dense_spectrum_oracle(matrix) -> np.ndarray:
     M = np.asarray(matrix, dtype=float)
     if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
-    if M.shape[-1] > 128:
-        raise ValueError("dense eigensolver oracle is capped at n <= 128")
+    if M.shape[-1] > DENSE_ORACLE_CAP:
+        raise ValueError(f"dense eigensolver oracle is capped at n <= {DENSE_ORACLE_CAP}")
     try:
         return np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:

@@ -1,25 +1,33 @@
 """Independent oracles and a CLI runner used only by the test suite.
 
 orbit_walk is the pure-Python enumeration of the orbits of t -> t*k (mod n')
-that the vectorized kcirculant.numtheory.eigen_partition is checked against.
-product_tail is the nested-quadrature tail of a product of exponentials that
-the Gil-Pelaez radial CDF in kcirculant.limits is checked against; quad_smooth
-is the adaptive quadrature under it. The modified Bessel function K1 here is a
-from-scratch series/asymptotic implementation, deliberately sharing nothing
-with the scipy K1 that kcirculant.extremes.kbar evaluates. Worst-case relative
-error is below 1e-8 on (0, 40] (largest at the z = 8 crossover), verified
-against frozen high-precision reference values in test_extremes.
-reference_oracle_sweep solves the oracle sweep one sample at a time; the
-stacked kcirculant.montecarlo.oracle_sweep must reproduce its report byte for
-byte.
+that the vectorized kcirculant.numtheory.eigen_partition is checked against;
+lower_order_count_ie counts the elements in smaller orbits by
+inclusion-exclusion instead, and gcd_power_bound checks the gcd(k^b +- 1,
+k^c +- 1) bound of the counting lemmas. dft_naive is the O(n^2) DFT,
+block_products the complex per-orbit products Pi_j, and det_probe_oracle
+compares LU determinants of lambda*I - A with the factorized characteristic
+polynomial. lsd_sample draws from a limit law and export_points_csv writes
+such a cloud. product_tail is the nested-quadrature tail of a product of
+exponentials that the Gil-Pelaez radial CDF in kcirculant.limits is checked
+against; quad_smooth is the adaptive quadrature under it. The modified Bessel
+function K1 here is a from-scratch series/asymptotic implementation,
+deliberately sharing nothing with the scipy K1 that kcirculant.extremes.kbar
+evaluates. Worst-case relative error is below 1e-8 on (0, 40] (largest at the
+z = 8 crossover), verified against frozen high-precision reference values in
+test_extremes. reference_oracle_sweep solves the oracle sweep one sample at a
+time; the stacked kcirculant.montecarlo.oracle_sweep must reproduce its report
+byte for byte.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,8 +35,25 @@ import numpy as np
 import scipy.integrate
 
 from kcirculant import spectral
+from kcirculant._textio import write_text
+from kcirculant.limits import _ROOTS, LsdLaw
 from kcirculant.montecarlo import ExperimentReport
+from kcirculant.numtheory import (
+    EigenPartition,
+    KCirculantParams,
+    factorize,
+    multiplicative_order,
+    structure,
+)
 from kcirculant.seeding import derive_trial_seed
+from kcirculant.spectral import (
+    TWO_PI,
+    _log_block_products,
+    _reduced_structure,
+    as_input_sequence,
+    build_matrix,
+    formula_spectrum,
+)
 
 EULER = 0.57721566490153286061
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -100,6 +125,183 @@ def orbit_walk(n_prime: int, k: int) -> dict:
     return {"blocks": tuple(blocks), "sizes": sizes, "g1": g1,
             "conjugate_block": tuple(block_of[(m - b[0]) % m] for b in blocks),
             "upsilon": Fraction(sum(s for s in sizes if s < g1), m)}
+
+
+def lower_order_count_ie(params: KCirculantParams) -> int:
+    """Count of x in Z_{n'} with orbit size < g1, by inclusion-exclusion.
+
+    Alternating sum of gcd(k^(g1/l) - 1, n') over square-free products l of
+    the distinct primes of g1. Powers are taken mod n' first; gcd(a, n')
+    only depends on a mod n', so nothing ever leaves machine words.
+    """
+    m = params.n_prime
+    if m == 1:
+        return 0
+    kp = params.k % m
+    g1 = multiplicative_order(kp, m)
+    primes = [p for p, _ in factorize(g1)]
+    total = 0
+    for mask in range(1, 1 << len(primes)):
+        ell = 1
+        bits = 0
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                ell *= p
+                bits += 1
+        term = math.gcd(pow(kp, g1 // ell, m) - 1, m)
+        total += term if bits % 2 else -term
+    return total
+
+
+def gcd_power_bound(k: int, b: int, c: int, sign_b: int, sign_c: int) -> tuple[int, int, bool]:
+    """Evaluate gcd(k^b + sign_b, k^c + sign_c) against the bound k^gcd(b,c) + 1.
+
+    Returns (lhs, bound, lhs <= bound); the inequality holds for every k >= 2
+    and all four sign combinations.
+    """
+    if k < 2 or b < 1 or c < 1:
+        raise ValueError("need k >= 2 and b, c >= 1")
+    if sign_b not in (-1, 1) or sign_c not in (-1, 1):
+        raise ValueError("signs must be +1 or -1")
+    lhs = math.gcd(k**b + sign_b, k**c + sign_c)
+    bound = k ** math.gcd(b, c) + 1
+    return lhs, bound, lhs <= bound
+
+
+def dft_naive(a, t_values=None) -> np.ndarray:
+    """Direct O(n^2) evaluation of the same DFT, kept as an independent oracle.
+
+    Pass t_values to evaluate only selected coefficients.
+    """
+    a = as_input_sequence(a)
+    n = a.size
+    ts = np.arange(n) if t_values is None else np.asarray(t_values, dtype=int)
+    ls = np.arange(n)
+    out = np.empty(ts.size, dtype=complex)
+    for i, t in enumerate(ts):
+        out[i] = np.sum(a * np.exp(2j * np.pi * (t % n) * ls / n))
+    return out
+
+
+def _assemble_products(log_mod: np.ndarray, theta: np.ndarray,
+                       partition: EigenPartition) -> np.ndarray:
+    """Materialize complex block products; huge blocks may overflow to inf."""
+    with np.errstate(over="ignore"):
+        mod = np.exp(log_mod)
+    out = np.empty(log_mod.shape, dtype=complex)
+    sc = partition.self_conjugate  # indexes the block axis, first in each .T view
+    out.T[sc] = mod.T[sc] * np.where(theta.T[sc] == 0.0, 1.0, -1.0)
+    nsc = ~sc
+    out.T[nsc] = mod.T[nsc] * (np.cos(theta.T[nsc]) + 1j * np.sin(theta.T[nsc]))
+    return out
+
+
+def block_products(dft_values, params: KCirculantParams) -> np.ndarray:
+    """Products Pi_j of DFT values lambda_{t * n/n'} over each orbit block.
+
+    The blocks are those of the cached structure of (params.n, params.k).
+    """
+    lam = np.asarray(dft_values, dtype=complex)
+    if lam.size != params.n:
+        raise ValueError("DFT length must equal n")
+    _, partition, idx = structure(params.n, params.k)
+    log_mod, theta = _log_block_products(lam, partition, idx)
+    return _assemble_products(log_mod, theta, partition)
+
+
+@dataclass
+class DetProbe:
+    point: complex
+    det_lu: complex
+    det_formula: complex
+    rel_diff: float
+
+
+def _safe_exp(z: complex) -> complex:
+    if z.real > 700.0:
+        return complex(math.inf, 0.0)
+    if z.real < -745.0:
+        return 0j
+    return cmath.exp(z)
+
+
+def det_probe_oracle(a, k: int, n: int, trial_points) -> list[DetProbe]:
+    """Compare det(lambda*I - A) from LU elimination with the factorized form.
+
+    Both sides are evaluated in log space on the 1/sqrt(n)-scaled matrix so
+    dimensions up to a few hundred cannot overflow; rel_diff is
+    |exp(log difference) - 1| with the phase reduced mod 2*pi. A probe that
+    lands on the spectrum to machine precision is nudged deterministically
+    and retried.
+    """
+    if n > 512:
+        raise ValueError("determinant probes are capped at n <= 512")
+    A = build_matrix(a, k, n)
+    spectrum = formula_spectrum(a, k, n)
+    _, partition, idx = _reduced_structure(n, k)
+    log_mod, theta = _log_block_products(spectrum.dft, partition, idx)
+    scale = math.sqrt(n)
+    B = A / scale
+    eye = np.eye(n)
+    half_log_n = 0.5 * math.log(n)
+    zeros = spectrum.zero_multiplicity
+
+    out = []
+    for point in trial_points:
+        lam = complex(point)
+        for _ in range(25):
+            lam_s = lam / scale
+            sign, logabs = np.linalg.slogdet(lam_s * eye - B)
+            if sign != 0 and np.isfinite(logabs):
+                break
+            lam = lam * 1.000001 + 1e-9 * (1 + 1j)
+        else:
+            raise RuntimeError(f"could not move probe {point} off the spectrum")
+        log_lu = complex(n * half_log_n + logabs, cmath.phase(complex(sign)))
+
+        log_formula = zeros * cmath.log(lam) if zeros else 0j
+        for j in range(partition.block_count):
+            nj = int(partition.sizes[j])
+            pi_scaled = _safe_exp(complex(log_mod[j] - nj * half_log_n, 0)) \
+                * cmath.exp(1j * theta[j])
+            factor = lam_s**nj - pi_scaled
+            log_formula += cmath.log(factor) + nj * half_log_n
+
+        delta = log_formula - log_lu
+        d_im = math.remainder(delta.imag, TWO_PI)
+        if abs(delta.real) > 1.0:
+            rel = math.inf
+        else:
+            rel = abs(cmath.exp(complex(delta.real, d_im)) - 1.0)
+        out.append(DetProbe(point=lam, det_lu=_safe_exp(log_lu),
+                            det_formula=_safe_exp(log_formula), rel_diff=rel))
+    return out
+
+
+def lsd_sample(law: LsdLaw, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw count i.i.d. points from the law; radius and angle independent."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if law.is_product:
+        g = law.g
+        radius = rng.exponential(1.0, size=(count, g)).prod(axis=1) ** (1.0 / (2 * g))
+        if law.variant == _ROOTS:
+            angles = (math.pi / g) * rng.integers(0, 2 * g, size=count)
+        else:
+            angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    else:
+        radius = np.full(count, law.radius)
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    return radius * np.exp(1j * angles)
+
+
+def export_points_csv(points, tags, path) -> None:
+    """Write a point cloud as CSV rows re,im,tag (repr floats, reproducible)."""
+    points = np.asarray(points, dtype=complex)
+    lines = ["re,im,tag"]
+    for z, tag in zip(points, tags):
+        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{tag}")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def bessel_i1(z: float) -> float:
@@ -192,7 +394,7 @@ def product_tail(g: int, y: float) -> float:
 
 
 def reference_oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
-                           tol_factor: float = 1e-7, fuzz: float = 0.0) -> ExperimentReport:
+                           fuzz: float = 0.0) -> ExperimentReport:
     """The oracle sweep with one formula spectrum and one dense solve per sample.
 
     Same pairs, seeds, matching and report as kcirculant.montecarlo.oracle_sweep,
@@ -203,7 +405,7 @@ def reference_oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
     failures = []
     worst = 0.0
     for idx, (n, k) in enumerate(pairs):
-        tol = tol_factor * n
+        tol = 1e-7 * n
         pair_worst = 0.0
         pair_scatter = 0.0
         ok = True
@@ -238,6 +440,6 @@ def reference_oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
                   "failure_list": failures}
     config = {"kind": "oracle_sweep", "n_max": n_max,
               "samples_per_pair": samples_per_pair, "master_seed": master_seed,
-              "tol_factor": tol_factor, "fuzz": fuzz}
+              "tol_factor": 1e-7, "fuzz": fuzz}
     return ExperimentReport(config=config, hypothesis={}, trials=trials,
                             aggregates=aggregates, passed=not failures)

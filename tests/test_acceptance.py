@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 import kcirculant as kc
-from helpers import kbar_closed_form, kcirc
+from helpers import (
+    det_probe_oracle,
+    gcd_power_bound,
+    kbar_closed_form,
+    kcirc,
+    lower_order_count_ie,
+)
 from kcirculant.montecarlo import (
     DEFAULT_MASTER_SEED,
     ExperimentConfig,
@@ -24,7 +30,7 @@ from kcirculant.montecarlo import (
     run_gumbel_experiment,
     run_lsd_experiment,
 )
-from kcirculant.numtheory import decompose, factorize, lower_order_count_ie, upsilon
+from kcirculant.numtheory import decompose, factorize, structure
 
 
 def test_criterion_1_oracle_equivalence():
@@ -43,7 +49,7 @@ def test_criterion_1_oracle_equivalence():
         a = rng.standard_normal(n)
         radii = rng.uniform(2.5, 3.5, 10) * math.sqrt(n)
         points = radii * np.exp(1j * rng.uniform(0, 2 * math.pi, 10))
-        probes = kc.det_probe_oracle(a, k, n, points)
+        probes = det_probe_oracle(a, k, n, points)
         worst = max(worst, max(p.rel_diff for p in probes))
     assert worst < 1e-8, worst
     print(f"\ncriterion 1: PASS (780 pairs matched, {elapsed:.1f}s; "
@@ -57,7 +63,7 @@ def test_criterion_2_counting_lemmas():
         coprime = [k for k in range(1, m) if math.gcd(k, m) == 1]
         for k in rnd.sample(coprime, min(20, len(coprime))):
             params = decompose(m if m > 1 else 2, k)
-            direct = upsilon(params) * m
+            direct = structure(params.n, params.k)[1].upsilon * m
             assert direct.denominator == 1
             count = lower_order_count_ie(params)
             assert count == direct.numerator, (m, k)
@@ -73,7 +79,7 @@ def test_criterion_2_counting_lemmas():
             for c in range(1, 13):
                 for sb in (-1, 1):
                     for sc in (-1, 1):
-                        assert kc.gcd_power_bound(k, b, c, sb, sc)[2], (k, b, c, sb, sc)
+                        assert gcd_power_bound(k, b, c, sb, sc)[2], (k, b, c, sb, sc)
                         bound_cases += 1
     print(f"\ncriterion 2: PASS (inclusion-exclusion == direct count on "
           f"{checked} (n', k) cases; gcd bound holds on {bound_cases} cases)")
@@ -206,7 +212,7 @@ def test_criterion_8_reproducibility(tmp_path):
     for trial in json.loads(json_paths[1].read_text())["trials"]:
         a = gaussian.sample(np.random.default_rng(trial["seed"]), 401)
         spectrum = kc.formula_spectrum(a, 20, 401)
-        assert trial["sp"] == kc.spectral_radius(spectrum) / math.sqrt(401), trial
+        assert trial["sp"] == np.abs(spectrum.eigenvalues).max() / math.sqrt(401), trial
     print("\ncriterion 8: PASS (JSON and CSV byte-identical across two fresh "
           "runs; every gumbel radius equals the full spectrum's)")
 

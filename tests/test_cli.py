@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
+import kcirculant
 from helpers import kcirc, run_python
-from kcirculant import numtheory, spectral
+from kcirculant import extremes, limits, montecarlo, numtheory, spectral
 from kcirculant.cli import main
 
 
@@ -397,6 +398,13 @@ class TestTail:
         assert x in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("x", ["abc", "-1"])
+    def test_bad_value_names_the_flag(self, x, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tail", "--x", f"1,{x}"])
+        assert exc.value.code == 2
+        assert "argument --x: expected" in capsys.readouterr().err
+
 
 class TestReproducibilityAcrossThreads:
     def test_lsd_report_bytes_stable(self, tmp_path):
@@ -455,3 +463,18 @@ class TestScipyLoadedOnDemand:
         loaded = _scipy_modules_after("tail", "--x", "1")
         assert "scipy.special" in loaded
         assert "scipy.optimize" not in loaded
+
+
+class TestPackageSurface:
+    def test_all_is_the_union_of_the_module_lists(self):
+        modules = [numtheory, spectral, limits, extremes, montecarlo]
+        union = [name for module in modules for name in module.__all__]
+        assert sorted(kcirculant.__all__) == sorted(union)
+        assert all(hasattr(kcirculant, name) for name in union)
+        # test oracles live in tests/helpers.py; the rest duplicated kept code
+        gone = ["dft_naive", "DetProbe", "det_probe_oracle", "block_products",
+                "lower_order_count_ie", "gcd_power_bound", "lsd_sample",
+                "export_points_csv", "orbit", "upsilon", "radial_tail",
+                "lsd_radial_cdf", "spectral_radius"]
+        assert [name for name in gone
+                if any(hasattr(owner, name) for owner in [kcirculant, *modules])] == []

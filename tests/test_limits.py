@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import kbar_closed_form, product_tail
+from helpers import export_points_csv, kbar_closed_form, lsd_sample, product_tail
 from kcirculant.limits import (
     DEGENERATE_RADIUS,
     LsdLaw,
@@ -15,9 +15,6 @@ from kcirculant.limits import (
     ks_one_sample,
     ks_radial,
     ks_two_sample,
-    lsd_radial_cdf,
-    lsd_sample,
-    radial_tail,
     _radial_cdf,
 )
 from kcirculant.spectral import formula_spectrum
@@ -31,6 +28,11 @@ def law3(g=2):
 
 def law4(g=2):
     return LsdLaw.uniform_circle_product(g)
+
+
+def tail(g, ys):
+    """P(E_1 * ... * E_g > y) at each y: one minus the radial CDF at y^(1/2g)."""
+    return 1.0 - _radial_cdf(g, np.asarray(ys, dtype=float).reshape(-1) ** (0.5 / g))
 
 
 def uniform_product_cdf(g, y):
@@ -47,26 +49,26 @@ def uniform_product_cdf(g, y):
 
 class TestRadialTail:
     def test_exponential_median(self):
-        assert radial_tail(1, math.log(2)) == pytest.approx(0.5, abs=1e-12)
+        assert tail(1, math.log(2))[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_total_mass(self):
         for g in (1, 2, 3):
-            assert radial_tail(g, 0.0) == 1.0
+            assert tail(g, 0.0)[0] == 1.0
 
     def test_product_of_two_at_one(self):
         # equals 2*K1(2) = 0.27973176363304486
-        assert radial_tail(2, 1.0) == pytest.approx(0.27973176363304486, abs=1e-9)
+        assert tail(2, 1.0)[0] == pytest.approx(0.27973176363304486, abs=1e-9)
 
     def test_matches_closed_form_g2(self):
-        for y in np.logspace(-2, 2, 9):
-            val = radial_tail(2, float(y))
+        ys = np.logspace(-2, 2, 9)
+        for y, val in zip(ys, tail(2, ys)):
             ref = kbar_closed_form(float(y))
             assert abs(val - ref) <= 1e-6 * ref
 
     def test_monotone_and_bounded(self):
         for g in (1, 2, 3):
             ys = np.logspace(-3, 2, 30)
-            vals = [radial_tail(g, float(y)) for y in ys]
+            vals = tail(g, ys)
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -74,15 +76,10 @@ class TestRadialTail:
     def test_against_monte_carlo(self, g):
         rng = np.random.default_rng(100 + g)
         prods = rng.exponential(size=(10**6, g)).prod(axis=1)
-        for y in (0.05, 0.3, 1.0, 2.5, 8.0):
+        ys = (0.05, 0.3, 1.0, 2.5, 8.0)
+        for y, val in zip(ys, tail(g, ys)):
             mc = float((prods > y).mean())
-            assert abs(radial_tail(g, y) - mc) < 5e-3
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            radial_tail(0, 1.0)
-        with pytest.raises(ValueError):
-            radial_tail(2, -1.0)
+            assert abs(val - mc) < 5e-3
 
     def test_quadrature_failure_reports_achieved_error(self):
         import math
@@ -97,14 +94,14 @@ class TestRadialCdf:
     @PROPERTY
     @given(x=st.floats(0.0, 10.0))
     def test_g1_closed_form(self, x):
-        assert lsd_radial_cdf(law4(1), x) == pytest.approx(1 - math.exp(-x * x),
-                                                           abs=1e-15)
+        assert _radial_cdf(1, np.array([x]))[0] == pytest.approx(1 - math.exp(-x * x),
+                                                                 abs=1e-15)
 
     @PROPERTY
     @given(g=st.sampled_from([2, 3]), r=st.floats(1e-6, 5.0))
     def test_matches_quadrature_oracle(self, g, r):
         oracle = 1.0 - product_tail(g, r ** (2 * g))
-        assert abs(lsd_radial_cdf(law4(g), r) - oracle) <= 1e-10
+        assert abs(_radial_cdf(g, np.array([r]))[0] - oracle) <= 1e-10
 
     @PROPERTY
     @given(r=st.floats(1e-6, 1.75))
@@ -112,7 +109,7 @@ class TestRadialCdf:
         # r <= 1.75 keeps 2 sqrt(y) below 6.2, where the series K1 of the
         # helpers is good to ~1e-13 absolute (near its z = 8 crossover, ~1e-11)
         y = r ** 4
-        assert abs(radial_tail(2, y) - kbar_closed_form(y)) <= 1e-12
+        assert abs(tail(2, y)[0] - kbar_closed_form(y)) <= 1e-12
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_bounded_monotone_under_uniform_bound(self, g):
@@ -125,32 +122,33 @@ class TestRadialCdf:
             if y < 1.0:
                 assert f <= uniform_product_cdf(g, y) * (1 + 1e-12), (r, f)
         # blocks are grouped differently one point at a time
-        scalar = [lsd_radial_cdf(law4(g), float(r)) for r in radii[::25]]
+        scalar = [_radial_cdf(g, np.array([r]))[0] for r in radii[::25]]
         assert np.abs(cdf[::25] - scalar).max() <= 1e-14
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_far_left_tail_does_not_alias(self, g):
         # a fixed 100-node inversion grid without the tail guard returned
         # 2e-4 (g=1), 5e-5 (g=3) and 8e-3 (g=4) here
-        cdf = lsd_radial_cdf(law4(g), 1e-6)
+        cdf = _radial_cdf(g, np.array([1e-6]))[0]
         assert 0.0 <= cdf <= uniform_product_cdf(g, 1e-6 ** (2 * g)) * (1 + 1e-12)
 
     def test_g2_at_one(self):
-        assert lsd_radial_cdf(law3(2), 1.0) == pytest.approx(0.7202682363669551,
-                                                             abs=1e-6)
+        assert _radial_cdf(2, np.array([1.0]))[0] == pytest.approx(0.7202682363669551,
+                                                                   abs=1e-6)
 
     def test_limits(self):
-        assert lsd_radial_cdf(law3(2), 0.0) == 0.0
-        assert lsd_radial_cdf(law3(2), 50.0) == pytest.approx(1.0, abs=1e-12)
+        assert _radial_cdf(2, np.array([0.0]))[0] == 0.0
+        assert _radial_cdf(2, np.array([50.0]))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone(self):
         xs = np.linspace(0.0, 3.0, 40)
-        vals = [lsd_radial_cdf(law3(2), float(x)) for x in xs]
+        vals = _radial_cdf(2, xs)
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_degenerate_rejected(self):
+        sample = EsdSample(points=np.ones(4, dtype=complex), n=4)
         with pytest.raises(ValueError):
-            lsd_radial_cdf(LsdLaw.degenerate_circle(), 1.0)
+            ks_radial(sample, LsdLaw.degenerate_circle())
 
 
 class TestLsdSample:
@@ -316,7 +314,6 @@ class TestExportPoints:
         rng = np.random.default_rng(13)
         pts = lsd_sample(law3(2), 5, rng)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        from kcirculant.limits import export_points_csv
         export_points_csv(pts, ["law"] * 5, p1)
         export_points_csv(pts, ["law"] * 5, p2)
         assert p1.read_bytes() == p2.read_bytes()

@@ -245,7 +245,7 @@ class TestOracleSweep:
         assert SWEEP_STACK <= 8
         assert peak(64) <= 1.25 * peak(8)
 
-    @pytest.mark.parametrize("arg", ["tol_factor", "fuzz"])
+    @pytest.mark.parametrize("arg", ["fuzz"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_arguments(self, arg, value):
         with pytest.raises(ValueError, match=f"{arg} must be a finite number"):

@@ -5,17 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import orbit_walk
+from helpers import gcd_power_bound, lower_order_count_ie, orbit_walk
 from kcirculant.numtheory import (
     ORBIT_CAP,
     classify_regime,
     decompose,
     eigen_partition,
-    gcd_power_bound,
-    lower_order_count_ie,
     multiplicative_order,
-    orbit,
-    upsilon,
+    structure,
 )
 
 
@@ -64,15 +61,9 @@ class TestDecompose:
 
 class TestOrbit:
     def test_examples(self):
-        assert orbit(1, 2, 7) == ([1, 2, 4], 3)
-        assert orbit(0, 3, 11) == ([0], 1)
-        assert orbit(5, 3, 10) == ([5], 1)
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            orbit(1, 2, 10)  # gcd(2, 10) != 1
-        with pytest.raises(ValueError):
-            orbit(7, 3, 7)
+        assert (1, 2, 4) in orbit_walk(7, 2)["blocks"]
+        assert (0,) in orbit_walk(11, 3)["blocks"]
+        assert (5,) in orbit_walk(10, 3)["blocks"]
 
 
 class TestEigenPartition:
@@ -81,7 +72,7 @@ class TestEigenPartition:
         assert part.blocks == ((0,), (1, 2, 4), (3, 5, 6))
         assert part.g1 == 3
         assert part.conjugate_block == (0, 2, 1)
-        assert not part.is_self_conjugate(1)
+        assert not part.self_conjugate[1]
 
     def test_k3_n10(self):
         part = eigen_partition(decompose(10, 3))
@@ -89,7 +80,7 @@ class TestEigenPartition:
         assert part.g1 == 4
         for j, blk in enumerate(part.blocks):
             if len(blk) == 4:
-                assert part.is_self_conjugate(j)
+                assert part.self_conjugate[j]
 
     def test_k1_gives_singletons(self):
         part = eigen_partition(decompose(5, 1))
@@ -144,7 +135,7 @@ def assert_matches_orbit_walk(n, k):
     assert tuple(part.sizes.tolist()) == want["sizes"]
     assert part.conjugate_block == want["conjugate_block"]
     assert part.g1 == want["g1"]
-    assert part.upsilon == upsilon(params) == want["upsilon"]
+    assert part.upsilon == structure(n, k)[1].upsilon == want["upsilon"]
 
 
 class TestEigenPartitionAgainstOrbitWalk:
@@ -167,14 +158,14 @@ class TestEigenPartitionAgainstOrbitWalk:
         with pytest.raises(ValueError, match="cap"):
             eigen_partition(decompose(10**12, 3))
         with pytest.raises(ValueError, match="cap"):
-            upsilon(decompose(ORBIT_CAP + 2, 1))
+            structure(ORBIT_CAP + 2, 1)
 
 
 class TestCounting:
     def test_upsilon_examples(self):
-        assert upsilon(decompose(5, 1)) == 0
-        assert upsilon(decompose(7, 6)) == Fraction(1, 7)
-        assert upsilon(decompose(10, 3)) == Fraction(1, 5)
+        assert structure(5, 1)[1].upsilon == 0
+        assert structure(7, 6)[1].upsilon == Fraction(1, 7)
+        assert structure(10, 3)[1].upsilon == Fraction(1, 5)
 
     def test_lower_order_count_examples(self):
         assert lower_order_count_ie(decompose(10, 3)) == 2
@@ -187,7 +178,7 @@ class TestCounting:
                 if math.gcd(k, m) != 1:
                     continue
                 params = decompose(m, k)
-                direct = upsilon(params) * m
+                direct = structure(m, k)[1].upsilon * m
                 assert direct.denominator == 1
                 count = lower_order_count_ie(params)
                 assert count == direct.numerator
@@ -201,7 +192,7 @@ class TestCounting:
     def test_upsilon_family_n_k_squared_plus_one(self):
         for k in range(2, 41):
             n = k * k + 1
-            ups = upsilon(decompose(n, k))
+            ups = structure(n, k)[1].upsilon
             expected = Fraction(2, n) if n % 2 == 0 else Fraction(1, n)
             assert ups == expected
 
@@ -269,8 +260,7 @@ class TestMultiplicativeOrder:
             k = rnd.randrange(1, m)
             if math.gcd(k, m) != 1:
                 continue
-            _, g = orbit(1 % m, k, m)
-            assert multiplicative_order(k, m) == g
+            assert multiplicative_order(k, m) == orbit_walk(m, k)["g1"]
 
     @pytest.mark.parametrize("m", [1, 2, 8, 16, 64, 1024, 4096,
                                    3, 9, 3**7, 5**4, 7**3, 11**2, 13**2, 2003])
@@ -278,5 +268,4 @@ class TestMultiplicativeOrder:
         # lambda(2^e) = 2^(e-2) for e >= 3 is half of phi(2^e)
         ks = [k for k in range(1, max(m, 2)) if math.gcd(k, m) == 1]
         for k in ks[:400]:
-            _, g = orbit(1 % m, k, m)
-            assert multiplicative_order(k, m) == g
+            assert multiplicative_order(k, m) == orbit_walk(m, k)["g1"]
