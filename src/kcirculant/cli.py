@@ -19,7 +19,7 @@ import numpy as np
 from . import extremes, montecarlo, spectral
 from ._textio import write_text
 from .numtheory import ORBIT_CAP, structure
-from .seeding import derive_trial_seed
+from .seeding import INPUT_LAWS, LAW_ALIASES, derive_trial_seed, input_law
 
 EXIT_PASS = 0
 EXIT_STAT_FAIL = 1
@@ -102,12 +102,24 @@ def cmd_partition(args) -> int:
     return EXIT_PASS
 
 
+# Scatter-plot presets mirroring the classic illustration configurations;
+# these emit point clouds for visual comparison and assert nothing.
+FIGURE_PRESETS = {
+    "ring_k1": {"k": 1, "n": 901, "law": "gaussian", "trials": 100},
+    "ring_k2": {"k": 2, "n": 901, "law": "gaussian", "trials": 100},
+    "cube_minus": {"k": 11, "n": 666, "law": "centered_exponential", "trials": 20},
+    "cube_plus": {"k": 11, "n": 665, "law": "centered_exponential", "trials": 20},
+    "near_square_minus": {"k": 16, "n": 253, "law": "gaussian", "trials": 100},
+    "near_square_plus": {"k": 16, "n": 259, "law": "gaussian", "trials": 100},
+}
+
+
 def _draw_input(law_name: str, seed: int, n: int) -> np.ndarray:
     if law_name == "delta":
         a = np.zeros(n)
         a[0] = 1.0
         return a
-    law = montecarlo.input_law(law_name)
+    law = input_law(law_name)
     return law.sample(np.random.default_rng(seed), n)
 
 
@@ -152,7 +164,7 @@ def cmd_spectrum(args) -> int:
         if args.k is not None or args.n is not None or args.law is not None \
                 or args.trials is not None:
             raise ValueError("--preset conflicts with --k/--n/--law/--trials")
-        preset = montecarlo.FIGURE_PRESETS[args.preset]
+        preset = FIGURE_PRESETS[args.preset]
         args.k, args.n = preset["k"], preset["n"]
         args.law = preset["law"]
         args.trials = preset["trials"]
@@ -195,39 +207,37 @@ def _finish_experiment(report, out_path) -> int:
     return EXIT_PASS if report.passed else EXIT_STAT_FAIL
 
 
-# Each tolerance flag and the tolerance keys it may set. An experiment takes
-# the keys its kind has: --tol-angular bounds the angular KS mean at theorem 4
-# and the angular grid deviation at theorem 3.
-_TOLERANCE_FLAGS = {
-    "tol_radial": ("radial_ks_mean",),
-    "tol_angular": ("angular_ks_mean", "angular_grid_dev"),
-    "tol_band": ("band_mass_min",),
-    "radius": ("radius",),
-    "epsilon": ("epsilon",),
-    "tol_gumbel": ("ks_gumbel",),
-    "tol_reference": ("ks_reference",),
-}
+def _tolerance_flags(command: str) -> list[str]:
+    """The tolerance flags of the kinds command runs, in table order. A flag may
+    set one key per kind: --tol-angular sets angular_grid_dev and angular_ks_mean."""
+    return list(dict.fromkeys(flag for row in montecarlo.KINDS.values() if row.command == command
+                              for _, flag in row.tolerances.values()))
+
+
+def _lsd_kinds() -> dict[int, str]:
+    """Each theorem lsd checks, and its kind."""
+    return {row.theorem: kind for kind, row in montecarlo.KINDS.items() if row.command == "lsd"}
 
 
 def _experiment_config(args, kind: str, **fields) -> montecarlo.ExperimentConfig:
     """The experiment the parsed flags describe; inapplicable flags exit 2."""
+    row = montecarlo.KINDS[kind]
     tolerances = {}
-    for dest, keys in _TOLERANCE_FLAGS.items():
-        value = getattr(args, dest, None)
+    for flag in _tolerance_flags(row.command):
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
             continue
-        applicable = [key for key in keys if key in montecarlo.DEFAULT_TOLERANCES[kind]]
-        if not applicable:
-            raise ValueError(f"--{dest.replace('_', '-')} does not apply to {kind}")
-        tolerances.update(dict.fromkeys(applicable, value))
+        keys = [key for key, (_, key_flag) in row.tolerances.items() if key_flag == flag]
+        if not keys:
+            raise ValueError(f"{flag} does not apply to {kind}")
+        tolerances.update(dict.fromkeys(keys, value))
     return montecarlo.ExperimentConfig(kind=kind, law=args.law, trials=args.trials,
                                        master_seed=args.seed, tolerances=tolerances,
                                        **fields)
 
 
 def cmd_lsd(args) -> int:
-    kind = {2: montecarlo.KIND_LSD2, 3: montecarlo.KIND_LSD3,
-            4: montecarlo.KIND_LSD4}[args.theorem]
+    kind = _lsd_kinds()[args.theorem]
     config = _experiment_config(args, kind, k=args.k, n=args.n, g=args.g)
     return _finish_experiment(montecarlo.run_lsd_experiment(config), args.out)
 
@@ -292,12 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalue point cloud of the scaled matrix")
     p.add_argument("--k", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--law", choices=[*montecarlo.INPUT_LAWS, *montecarlo.LAW_ALIASES,
-                                     "delta"])
+    p.add_argument("--law", choices=[*INPUT_LAWS, *LAW_ALIASES, "delta"])
     p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
     p.add_argument("--trials", type=int,
                    help="number of realizations appended to the cloud (default 1)")
-    p.add_argument("--preset", choices=sorted(montecarlo.FIGURE_PRESETS),
+    p.add_argument("--preset", choices=sorted(FIGURE_PRESETS),
                    help="named scatter preset (sets k/n/law/trials)")
     p.add_argument("--out", default="-", help="output path, - for stdout")
     p.add_argument("--format", choices=["csv", "svg"], default="csv")
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="limit-law experiment (2 = degenerate circle, "
                             "3 = roots-of-unity product, 4 = uniform-circle product)")
     p.add_argument("--config", help=config_help)
-    p.add_argument("--theorem", type=int, choices=[2, 3, 4], required=True)
+    p.add_argument("--theorem", type=int, choices=sorted(_lsd_kinds()), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=int, help="product exponent (inferred when omitted)")
@@ -317,11 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--tol-radial", type=_finite_float, dest="tol_radial")
-    p.add_argument("--tol-angular", type=_finite_float, dest="tol_angular")
-    p.add_argument("--tol-band", type=_finite_float, dest="tol_band")
-    p.add_argument("--radius", type=_finite_float)
-    p.add_argument("--epsilon", type=_finite_float)
+    for flag in _tolerance_flags("lsd"):
+        p.add_argument(flag, type=_finite_float)
     p.set_defaults(func=cmd_lsd)
 
     p = sub.add_parser("gumbel", allow_abbrev=False,
@@ -333,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--csv", help="write per-trial radii (trial,seed,sp,standardized)")
-    p.add_argument("--tol-gumbel", type=_finite_float, dest="tol_gumbel")
-    p.add_argument("--tol-reference", type=_finite_float, dest="tol_reference")
+    for flag in _tolerance_flags("gumbel"):
+        p.add_argument(flag, type=_finite_float)
     p.set_defaults(func=cmd_gumbel)
 
     p = sub.add_parser("verify", help="formula vs dense eigensolver sweep")

@@ -2,9 +2,8 @@
 
 Everything in this module is exact integer arithmetic, on Python ints and
 numpy integer arrays: the common-factor decomposition of (k, n), the orbits of
-t -> t*k (mod n') that partition Z_{n'}, orbit orders and conjugacy, the
-fraction upsilon of Z_{n'} in orbits smaller than the largest one, and the
-congruence k^g = +-1 (mod n) that selects a limit law.
+t -> t*k (mod n') that partition Z_{n'}, orbit orders and conjugacy, and the
+fraction upsilon of Z_{n'} in orbits smaller than the largest one.
 """
 
 from __future__ import annotations
@@ -19,12 +18,10 @@ import numpy as np
 __all__ = [
     "KCirculantParams",
     "EigenPartition",
-    "RegimeClassification",
     "decompose",
     "multiplicative_order",
     "eigen_partition",
     "structure",
-    "classify_regime",
 ]
 
 
@@ -70,15 +67,6 @@ class KCirculantParams:
             k_rebuilt *= p**alpha
         if n_rebuilt != self.n or k_rebuilt != self.k:
             raise ValueError("common-prime decomposition does not multiply back")
-        if not 1 <= self.k < self.n:
-            raise ValueError("k must satisfy 1 <= k < n after reduction mod n")
-        if math.gcd(self.n_prime, self.k) != 1:
-            raise ValueError("n_prime must be coprime with k")
-        parts = [self.n_prime, self.k_prime] + [p for p, _, _ in self.common_primes]
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                if math.gcd(parts[i], parts[j]) != 1:
-                    raise ValueError("decomposition parts are not pairwise coprime")
 
     @property
     def zero_multiplicity(self) -> int:
@@ -234,41 +222,3 @@ def structure(n: int, k: int) -> tuple[KCirculantParams, EigenPartition, np.ndar
     dft_indices = partition.members * (n // params.n_prime)
     dft_indices.setflags(write=False)
     return params, partition, dft_indices
-
-
-@dataclass(frozen=True)
-class RegimeClassification:
-    """Outcome of testing k^g = -1 + s*n or k^g = +1 + s*n.
-
-    case is "minus_one", "plus_one" or "neither"; s is the exact integer
-    multiplier (None for "neither"). g1 and upsilon describe the actual orbit
-    structure so callers can check g1 == 2g (minus case) or g1 == g (plus).
-    """
-
-    case: str
-    s: int | None
-    g: int
-    g1: int
-    upsilon: Fraction
-
-
-def classify_regime(g: int, k: int, n: int) -> RegimeClassification:
-    """Detect whether k^g is congruent to -1 or +1 mod n, with exact multiplier s.
-
-    Requires gcd(k, n) = 1. When n = 2 both congruences coincide and the
-    minus-one reading is reported.
-    """
-    if g < 1:
-        raise ValueError("g must be at least 1")
-    if n < 2 or k < 1:
-        raise ValueError("need n >= 2 and k >= 1")
-    if math.gcd(k, n) != 1:
-        raise ValueError("classify_regime requires gcd(k, n) = 1")
-    part = structure(n, k % n)[1]
-    g1, ups = part.g1, part.upsilon
-    kg_mod = pow(k, g, n)
-    if kg_mod == n - 1:
-        return RegimeClassification("minus_one", (k**g + 1) // n, g, g1, ups)
-    if kg_mod == 1:
-        return RegimeClassification("plus_one", (k**g - 1) // n, g, g1, ups)
-    return RegimeClassification("neither", None, g, g1, ups)

@@ -270,6 +270,25 @@ class TestLsd:
         out = kcirc("lsd", "--theorem", "3")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("theorem", ["2", "3", "4"])
+    @pytest.mark.parametrize("k, n", [("3", "-10"), ("3", "0"), ("3", "1"), ("3", "200001"),
+                                      ("0", "101"), ("-3", "101")])
+    def test_k_and_n_out_of_range_name_the_bound(self, theorem, k, n, capsys):
+        # one range check for every kind, ahead of its congruence or gcd test
+        assert main(["lsd", "--theorem", theorem, "--k", k, "--n", n]) == 2
+        err = capsys.readouterr().err
+        bound = ("n = 200001 exceeds the experiment cap" if n == "200001"
+                 else f"need n >= 2 and k >= 1, got n={n}, k={k}")
+        assert err.startswith(f"error: {bound}")
+
+    def test_theorem_4_accepts_n2(self, tmp_path):
+        # 1 = 1 + 0 * 2, as theorem 3 reads 1 = -1 + 1 * 2
+        path = tmp_path / "n2.json"
+        out = kcirc("lsd", "--theorem", "4", "--k", "1", "--n", "2", "--trials", "2",
+                    "--out", str(path))
+        assert out.returncode in (0, 1), out.stderr
+        assert json.loads(path.read_text())["hypothesis"]["s"] == 0
+
 
 class TestGumbel:
     def test_small_pass(self, tmp_path):

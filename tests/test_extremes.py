@@ -162,10 +162,6 @@ class TestSpectralRadius:
                 sp_dense = np.abs(dense_spectrum_oracle(build_matrix(a, k, n))).max()
                 assert sp_formula == pytest.approx(sp_dense, abs=1e-7)
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            np.abs(np.array([])).max()
-
 
 class TestStandardize:
     def test_fixed_points(self):

@@ -8,7 +8,9 @@ import pytest
 from helpers import reference_oracle_sweep, run_python
 from kcirculant.montecarlo import (
     DEFAULT_MASTER_SEED,
+    DFT_EXPERIMENT_CAP,
     G_MAX,
+    KINDS,
     SWEEP_STACK,
     ExperimentConfig,
     ExperimentReport,
@@ -48,11 +50,16 @@ class TestInputLaws:
         with pytest.raises(ValueError):
             input_law("cauchy")
 
+    # analytic E|a|^3 of each law; every law has mean 0 and variance 1
+    ABS_MOMENT_3 = {"gaussian": 2.0 * math.sqrt(2.0 / math.pi),
+                    "centered_exponential": 12.0 / math.e - 2.0,
+                    "rademacher": 1.0,
+                    "uniform": 3.0 * math.sqrt(3.0) / 4.0}
+
     @pytest.mark.parametrize("name", sorted(INPUT_LAWS))
     def test_sample_moments(self, name):
         law = INPUT_LAWS[name]
-        mean, var, m3 = law.moment_check
-        assert (mean, var) == (0.0, 1.0)
+        m3 = self.ABS_MOMENT_3[name]
         rng = np.random.default_rng(zlib.crc32(name.encode()))
         x = law.sample(rng, 10**5)
         n = x.size
@@ -84,6 +91,16 @@ class TestExperimentConfig:
     def test_rejects_g_where_unused(self, kind):
         with pytest.raises(ValueError, match="g does not apply"):
             ExperimentConfig(kind=kind, k=10, n=101, g=2)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("k, n", [(3, -10), (3, 0), (3, 1), (3, DFT_EXPERIMENT_CAP + 1),
+                                      (0, 101), (-3, 101)])
+    def test_rejects_k_and_n_out_of_range(self, kind, k, n):
+        # the same message for every kind, before any hypothesis work
+        bound = "experiment cap" if n > DFT_EXPERIMENT_CAP else "need n >= 2 and k >= 1"
+        with pytest.raises(ValueError, match=bound) as exc:
+            ExperimentConfig(kind=kind, k=k, n=n)
+        assert not isinstance(exc.value, HypothesisError)
 
 
 class TestHypothesisChecks:
@@ -124,6 +141,12 @@ class TestHypothesisChecks:
         cfg = ExperimentConfig(kind=KIND_GUMBEL, k=20, n=401, trials=1)
         hyp = hypothesis_check(cfg)
         assert hyp["q"] == 100 and hyp["four_blocks"] == 100
+
+    def test_plus_one_at_n2(self):
+        # 1 = 1 + 0 * 2: at n = 2 both congruences hold, and each row reads its own
+        for kind, s in [(KIND_LSD3, 1), (KIND_LSD4, 0)]:
+            hyp = hypothesis_check(ExperimentConfig(kind=kind, k=1, n=2, trials=1))
+            assert (hyp["g"], hyp["s"], hyp["g1"]) == (1, s, 1)
 
     def test_gumbel_rejects_other_n(self):
         cfg = ExperimentConfig(kind=KIND_GUMBEL, k=20, n=400, trials=1)
@@ -233,15 +256,18 @@ class TestOracleSweep:
     def test_memory_does_not_grow_with_samples(self):
         import tracemalloc
 
+        # n_max = 10: 45 pairs, all held by the structure cache after the warm-up.
+        # Peaks (64 vs 8 samples) measured 29945 vs 27272 bytes; a sweep that
+        # stacks all of a pair's samples into one call measured 133352 vs 27272.
         def peak(samples):
             tracemalloc.start()
             try:
-                oracle_sweep(24, samples, master_seed=1)
+                oracle_sweep(10, samples, master_seed=1)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        oracle_sweep(24, 1, master_seed=1)  # imports the assignment solver untraced
+        oracle_sweep(10, 1, master_seed=1)  # imports the assignment solver untraced
         assert SWEEP_STACK <= 8
         assert peak(64) <= 1.25 * peak(8)
 

@@ -6,9 +6,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import gcd_power_bound, lower_order_count_ie, orbit_walk
+from kcirculant.montecarlo import (
+    KIND_LSD3,
+    KIND_LSD4,
+    ExperimentConfig,
+    HypothesisError,
+    hypothesis_check,
+)
 from kcirculant.numtheory import (
     ORBIT_CAP,
-    classify_regime,
     decompose,
     eigen_partition,
     multiplicative_order,
@@ -56,7 +62,9 @@ class TestDecompose:
                     rebuilt_n *= q**beta
                     rebuilt_k *= q**alpha
                 assert rebuilt_n == n and rebuilt_k == k
-                assert math.gcd(p.n_prime, p.k) == 1
+                assert math.gcd(p.n_prime, p.k) == 1 and 1 <= p.k < n
+                parts = [p.n_prime, p.k_prime, *(q for q, _, _ in p.common_primes)]
+                assert math.prod(parts) == math.lcm(*parts)  # pairwise coprime
 
 
 class TestOrbit:
@@ -190,11 +198,12 @@ class TestCounting:
                 assert count <= g_1
 
     def test_upsilon_family_n_k_squared_plus_one(self):
-        for k in range(2, 41):
+        # so every block is a 4-block but {0} and {n/2}: theorem 5 needs no block check
+        for k in [*range(2, 81), 255, 447]:
             n = k * k + 1
-            ups = structure(n, k)[1].upsilon
+            part = structure(n, k)[1]
             expected = Fraction(2, n) if n % 2 == 0 else Fraction(1, n)
-            assert ups == expected
+            assert part.upsilon == expected and part.g1 == 4
 
 
 class TestGcdPowerBound:
@@ -224,26 +233,44 @@ class TestGcdPowerBound:
 
 
 class TestClassifyRegime:
+    """k^g = -1 or +1 (mod n) with the exact s, read through the theorem 3
+    ("minus_one") and theorem 4 ("plus_one") hypotheses."""
+
+    @staticmethod
+    def classify(g, k, n):
+        """(case, s, g1): the case of the one row that accepts (g, k, n)."""
+        accepted = []
+        for case, kind in (("minus_one", KIND_LSD3), ("plus_one", KIND_LSD4)):
+            try:
+                hyp = hypothesis_check(ExperimentConfig(kind=kind, k=k, n=n, g=g))
+            except HypothesisError as exc:
+                if "hypothesis violated" not in str(exc):
+                    raise
+            else:
+                accepted.append((case, hyp["s"], hyp["g1"]))
+        assert len(accepted) <= 1
+        return accepted[0] if accepted else ("neither", None, None)
+
     def test_minus_one(self):
-        r = classify_regime(2, 10, 101)
-        assert (r.case, r.s, r.g1) == ("minus_one", 1, 4)
+        r = self.classify(2, 10, 101)
+        assert r == ("minus_one", 1, 4)
 
     def test_plus_one(self):
-        r = classify_regime(2, 10, 99)
-        assert (r.case, r.s, r.g1) == ("plus_one", 1, 2)
+        r = self.classify(2, 10, 99)
+        assert r == ("plus_one", 1, 2)
 
     def test_plus_one_trivial(self):
-        r = classify_regime(1, 1, 10)
-        assert (r.case, r.s, r.g1) == ("plus_one", 0, 1)
+        r = self.classify(1, 1, 10)
+        assert r == ("plus_one", 0, 1)
 
     def test_neither(self):
-        r = classify_regime(2, 2, 7)
-        assert r.case == "neither"
-        assert r.s is None
+        case, s, _ = self.classify(2, 2, 7)
+        assert case == "neither"
+        assert s is None
 
     def test_requires_coprime(self):
         with pytest.raises(ValueError):
-            classify_regime(2, 2, 10)
+            self.classify(2, 2, 10)
 
 
 class TestMultiplicativeOrder:
