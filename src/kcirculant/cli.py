@@ -116,11 +116,8 @@ FIGURE_PRESETS = {
 
 def _draw_input(law_name: str, seed: int, n: int) -> np.ndarray:
     if law_name == "delta":
-        a = np.zeros(n)
-        a[0] = 1.0
-        return a
-    law = input_law(law_name)
-    return law.sample(np.random.default_rng(seed), n)
+        return np.eye(1, n)[0]  # the unit impulse (1, 0, ..., 0)
+    return input_law(law_name).sample(np.random.default_rng(seed), n)
 
 
 def _render_svg(points: np.ndarray, title: str) -> str:
@@ -161,17 +158,12 @@ def _render_svg(points: np.ndarray, title: str) -> str:
 
 def cmd_spectrum(args) -> int:
     if args.preset:
-        if args.k is not None or args.n is not None or args.law is not None \
-                or args.trials is not None:
+        if any(getattr(args, key) is not None for key in FIGURE_PRESETS[args.preset]):
             raise ValueError("--preset conflicts with --k/--n/--law/--trials")
-        preset = FIGURE_PRESETS[args.preset]
-        args.k, args.n = preset["k"], preset["n"]
-        args.law = preset["law"]
-        args.trials = preset["trials"]
+        vars(args).update(FIGURE_PRESETS[args.preset])  # k, n, law and trials
     if args.k is None or args.n is None:
         raise ValueError("spectrum needs --k and --n (or --preset)")
-    if args.law is None:
-        args.law = "gaussian"
+    args.law = args.law or "gaussian"  # --law choices are all non-empty
     if args.trials is None:
         args.trials = 1
     if args.trials < 1:
@@ -214,9 +206,8 @@ def _tolerance_flags(command: str) -> list[str]:
                               for _, flag in row.tolerances.values()))
 
 
-def _lsd_kinds() -> dict[int, str]:
-    """Each theorem lsd checks, and its kind."""
-    return {row.theorem: kind for kind, row in montecarlo.KINDS.items() if row.command == "lsd"}
+# each theorem lsd checks, and its key in KINDS
+_LSD_KINDS = {row.theorem: key for key, row in montecarlo.KINDS.items() if row.command == "lsd"}
 
 
 def _experiment_config(args, kind: str, **fields) -> montecarlo.ExperimentConfig:
@@ -237,7 +228,7 @@ def _experiment_config(args, kind: str, **fields) -> montecarlo.ExperimentConfig
 
 
 def cmd_lsd(args) -> int:
-    kind = _lsd_kinds()[args.theorem]
+    kind = _LSD_KINDS[args.theorem]
     config = _experiment_config(args, kind, k=args.k, n=args.n, g=args.g)
     return _finish_experiment(montecarlo.run_lsd_experiment(config), args.out)
 
@@ -286,89 +277,92 @@ def cmd_tail(args) -> int:
     return EXIT_PASS
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Config keys must be whole flag names, and --config the name main looks for.
+_CONFIG = ("--config", {"help": "flat key=value file whose keys are these flags; "
+                                "explicit flags win"})
+_SEED = ("--seed", {"type": int, "default": montecarlo.DEFAULT_MASTER_SEED})
+_REPORT = ("--out", {"help": "write the JSON report here"})
+
+# name -> (handler, add_parser options, [(flag, add_argument options)]), in help order
+SUBCOMMANDS = {
+    "partition": (cmd_partition, {"help": "inspect the orbit partition for (k, n)"}, [
+        ("--k", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--json", {"action": "store_true"})]),
+    "spectrum": (cmd_spectrum, {"help": "eigenvalue point cloud of the scaled matrix"}, [
+        ("--k", {"type": int}),
+        ("--n", {"type": int}),
+        ("--law", {"choices": [*INPUT_LAWS, *LAW_ALIASES, "delta"]}),
+        _SEED,
+        ("--trials", {"type": int,
+                      "help": "number of realizations appended to the cloud (default 1)"}),
+        ("--preset", {"choices": sorted(FIGURE_PRESETS),
+                      "help": "named scatter preset (sets k/n/law/trials)"}),
+        ("--out", {"default": "-", "help": "output path, - for stdout"}),
+        ("--format", {"choices": ["csv", "svg"], "default": "csv"})]),
+    "lsd": (cmd_lsd, {"allow_abbrev": False,
+                      "help": "limit-law experiment (2 = degenerate circle, "
+                              "3 = roots-of-unity product, 4 = uniform-circle product)"}, [
+        _CONFIG,
+        ("--theorem", {"type": int, "choices": sorted(_LSD_KINDS), "required": True}),
+        ("--k", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--g", {"type": int, "help": "product exponent (inferred when omitted)"}),
+        ("--law", {"default": "gaussian"}),
+        ("--trials", {"type": int, "default": 5}),
+        _SEED, _REPORT,
+        *[(flag, {"type": _finite_float}) for flag in _tolerance_flags("lsd")]]),
+    "gumbel": (cmd_gumbel, {"allow_abbrev": False,
+                            "help": "spectral-radius experiment on n = k^2 + 1"}, [
+        _CONFIG,
+        ("--kk", {"type": int, "required": True, "help": "k; n is fixed to k^2 + 1"}),
+        ("--law", {"default": "gaussian"}),
+        ("--trials", {"type": int, "default": 1000}),
+        _SEED, _REPORT,
+        ("--csv", {"help": "write per-trial radii (trial,seed,sp,standardized)"}),
+        *[(flag, {"type": _finite_float}) for flag in _tolerance_flags("gumbel")]]),
+    "verify": (cmd_verify, {"help": "formula vs dense eigensolver sweep"}, [
+        ("--nmax", {"type": int, "default": 40}),
+        ("--samples", {"type": int, "default": 5}),
+        _SEED,
+        ("--fuzz", {"type": _finite_float, "default": 0.0,
+                    "help": "perturb the formula side to exercise the failure path"}),
+        _REPORT]),
+    "tail": (cmd_tail, {"help": "table of P(E1*E2 > x) vs its asymptotic"}, [
+        ("--x", {"type": _x_values, "action": "append", "required": True,
+                 "help": "comma- or space-separated x values; repeatable"})]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The kcirc parser with every subcommand, or with command's alone; the latter
+    names them all in its usage line, so its text is the full parser's byte for byte."""
     parser = argparse.ArgumentParser(
         prog="kcirc",
         description="Exact k-circulant spectra, their limit laws, and "
                     "spectral-radius extreme-value experiments.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("partition", help="inspect the orbit partition for (k, n)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("spectrum", help="eigenvalue point cloud of the scaled matrix")
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--law", choices=[*INPUT_LAWS, *LAW_ALIASES, "delta"])
-    p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
-    p.add_argument("--trials", type=int,
-                   help="number of realizations appended to the cloud (default 1)")
-    p.add_argument("--preset", choices=sorted(FIGURE_PRESETS),
-                   help="named scatter preset (sets k/n/law/trials)")
-    p.add_argument("--out", default="-", help="output path, - for stdout")
-    p.add_argument("--format", choices=["csv", "svg"], default="csv")
-    p.set_defaults(func=cmd_spectrum)
-
-    # Config keys must be whole flag names, and --config the name main looks for.
-    config_help = "flat key=value file whose keys are these flags; explicit flags win"
-    p = sub.add_parser("lsd", allow_abbrev=False,
-                       help="limit-law experiment (2 = degenerate circle, "
-                            "3 = roots-of-unity product, 4 = uniform-circle product)")
-    p.add_argument("--config", help=config_help)
-    p.add_argument("--theorem", type=int, choices=sorted(_lsd_kinds()), required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--g", type=int, help="product exponent (inferred when omitted)")
-    p.add_argument("--law", default="gaussian")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
-    p.add_argument("--out", help="write the JSON report here")
-    for flag in _tolerance_flags("lsd"):
-        p.add_argument(flag, type=_finite_float)
-    p.set_defaults(func=cmd_lsd)
-
-    p = sub.add_parser("gumbel", allow_abbrev=False,
-                       help="spectral-radius experiment on n = k^2 + 1")
-    p.add_argument("--config", help=config_help)
-    p.add_argument("--kk", type=int, required=True, help="k; n is fixed to k^2 + 1")
-    p.add_argument("--law", default="gaussian")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
-    p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--csv", help="write per-trial radii (trial,seed,sp,standardized)")
-    for flag in _tolerance_flags("gumbel"):
-        p.add_argument(flag, type=_finite_float)
-    p.set_defaults(func=cmd_gumbel)
-
-    p = sub.add_parser("verify", help="formula vs dense eigensolver sweep")
-    p.add_argument("--nmax", type=int, default=40)
-    p.add_argument("--samples", type=int, default=5)
-    p.add_argument("--seed", type=int, default=montecarlo.DEFAULT_MASTER_SEED)
-    p.add_argument("--fuzz", type=_finite_float, default=0.0,
-                   help="perturb the formula side to exercise the failure path")
-    p.add_argument("--out", help="write the JSON report here")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("tail", help="table of P(E1*E2 > x) vs its asymptotic")
-    p.add_argument("--x", type=_x_values, action="append", required=True,
-                   help="comma- or space-separated x values; repeatable")
-    p.set_defaults(func=cmd_tail)
-
+    names = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=names)
+    for name, (func, options, flags) in SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, **options)
+            for flag, flag_options in flags:
+                p.add_argument(flag, **flag_options)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    scan = argparse.ArgumentParser(prog="kcirc", add_help=False, allow_abbrev=False)
-    scan.add_argument("--config")
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
-        config = scan.parse_known_args(argv)[0].config
-        if config:  # file values go ahead of the flags, so explicit flags win
-            argv = argv[:1] + _config_tokens(config) + argv[1:]
-        args = build_parser().parse_args(argv)
+        if command and _CONFIG in SUBCOMMANDS[command][2]:
+            scan = argparse.ArgumentParser(prog="kcirc", add_help=False, allow_abbrev=False)
+            scan.add_argument("--config")
+            config = scan.parse_known_args(argv)[0].config
+            if config:  # file values go ahead of the flags, so explicit flags win
+                argv = argv[:1] + _config_tokens(config) + argv[1:]
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except montecarlo.HypothesisError as exc:
         print(f"hypothesis error: {exc}", file=sys.stderr)

@@ -104,9 +104,9 @@ def iid_max_reference(q: int, trials: int, master_seed: int) -> np.ndarray:
     norm = normalization(q)
     maxima = np.empty(trials)
     for i in range(trials):
-        gen = np.random.default_rng(derive_trial_seed(master_seed, i))
-        prod = gen.exponential(size=q) * gen.exponential(size=q)
-        maxima[i] = prod.max()
+        # one 2q draw continues the stream exactly as two q draws would
+        e = np.random.default_rng(derive_trial_seed(master_seed, i)).standard_exponential(2 * q)
+        maxima[i] = (e[:q] * e[q:]).max()
     # max of the quarter powers = quarter power of the max
     return standardize_radius(maxima**0.25, norm)
 

@@ -177,11 +177,11 @@ def ks_radial(sample: EsdSample, law: LsdLaw) -> float:
     """
     if not law.is_product:
         raise ValueError("radial KS applies to the product laws")
-    pts = sample.nonstructural_points()
-    if pts.size == 0:
+    radii = np.sort(np.abs(sample.nonstructural_points()))
+    if radii.size == 0:
         raise ValueError("empty sample")
-    uniq, inverse = np.unique(np.sort(np.abs(pts)), return_inverse=True)
-    f = _radial_cdf(law.g, uniq)[inverse]
+    new = np.concatenate([[True], radii[1:] != radii[:-1]])  # first of each run of ties
+    f = _radial_cdf(law.g, radii[new])[np.cumsum(new) - 1]
     steps = np.arange(f.size + 1) / f.size
     return float(max((steps[1:] - f).max(), (f - steps[:-1]).max()))
 

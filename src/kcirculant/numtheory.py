@@ -139,8 +139,7 @@ class EigenPartition:
     members[starts[j] : starts[j] + sizes[j]]. g1 is the orbit size of 1
     (every other orbit size divides it). conjugate[j] is the index of the
     block holding the reflections n' - t of block j; it equals j exactly for
-    blocks that are their own reflection. The tuple views blocks and
-    conjugate_block are built on demand.
+    blocks that are their own reflection.
     """
 
     n_prime: int
@@ -165,14 +164,6 @@ class EigenPartition:
     @property
     def block_count(self) -> int:
         return int(self.sizes.size)
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(b.tolist()) for b in np.split(self.members, self.starts[1:]))
-
-    @property
-    def conjugate_block(self) -> tuple[int, ...]:
-        return tuple(self.conjugate.tolist())
 
     @property
     def upsilon(self) -> Fraction:

@@ -39,7 +39,7 @@ _SQRT3 = math.sqrt(3.0)
 INPUT_LAWS = {
     "gaussian": InputLaw("gaussian", lambda rng, size: rng.standard_normal(size)),
     "centered_exponential": InputLaw("centered_exponential",
-                                     lambda rng, size: rng.exponential(1.0, size) - 1.0),
+                                     lambda rng, size: rng.standard_exponential(size) - 1.0),
     "rademacher": InputLaw("rademacher",
                            lambda rng, size: rng.integers(0, 2, size) * 2.0 - 1.0),
     "uniform": InputLaw("uniform", lambda rng, size: rng.uniform(-_SQRT3, _SQRT3, size)),

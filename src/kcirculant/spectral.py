@@ -37,8 +37,9 @@ TWO_PI = 2.0 * math.pi
 DENSE_ORACLE_CAP = 128  # largest n the dense eigensolver oracle accepts
 
 
-def as_input_sequence(values, rows: bool = False) -> np.ndarray:
-    """Validate an input: 1-D (or 2-D, one sequence per row), length >= 2, finite."""
+def as_input_sequence(values, rows: bool = False, n: int | None = None) -> np.ndarray:
+    """Validate an input: 1-D (or 2-D, one sequence per row), length >= 2 (n
+    when given), finite."""
     a = np.asarray(values, dtype=float)
     if a.ndim != 1 and not (rows and a.ndim == 2):
         raise ValueError(f"input must be 1-D{' or 2-D' if rows else ''}, got {a.ndim}-D")
@@ -46,14 +47,14 @@ def as_input_sequence(values, rows: bool = False) -> np.ndarray:
         raise ValueError("input sequence needs length >= 2")
     if not np.all(np.isfinite(a)):
         raise ValueError("input sequence contains non-finite values")
+    if n is not None and a.shape[-1] != n:
+        raise ValueError(f"input length {a.shape[-1]} does not match n = {n}")
     return a
 
 
 def build_matrix(a, k: int, n: int) -> np.ndarray:
     """Dense n x n matrix A[j, c] = a[(c - j*k) mod n], one per row of a 2-D a."""
-    a = as_input_sequence(a, rows=True)
-    if a.shape[-1] != n:
-        raise ValueError(f"input length {a.shape[-1]} does not match n = {n}")
+    a = as_input_sequence(a, rows=True, n=n)
     if not 1 <= k < n:
         raise ValueError("k must satisfy 1 <= k < n")
     cols = np.arange(n)
@@ -78,6 +79,16 @@ def dft(a) -> np.ndarray:
     return lam
 
 
+def _log_moduli(spectrum: np.ndarray, n: int, partition: EigenPartition,
+                dft_indices: np.ndarray) -> np.ndarray:
+    """Per-block sums of log |lambda_t|, -inf at a zero, read from the first n//2 + 1
+    values of spectrum (the DFT or the real FFT): |lambda_{n-t}| = |lambda_t| exactly."""
+    with np.errstate(divide="ignore"):
+        half_logs = np.log(np.abs(spectrum[..., : n // 2 + 1]))
+    return np.add.reduceat(half_logs.take(np.minimum(dft_indices, n - dft_indices), axis=-1),
+                           partition.starts, axis=-1)
+
+
 def _log_block_products(lam: np.ndarray, partition: EigenPartition,
                         dft_indices: np.ndarray):
     """Per-block DFT products in log form: (log modulus, principal angle).
@@ -90,9 +101,7 @@ def _log_block_products(lam: np.ndarray, partition: EigenPartition,
     """
     vals = lam.take(dft_indices, axis=-1)
     starts, self_conj = partition.starts, partition.self_conjugate
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(vals))
-    log_mod = np.add.reduceat(logs, starts, axis=-1)
+    log_mod = _log_moduli(lam, lam.shape[-1], partition, dft_indices)
     raw = np.add.reduceat(np.angle(vals), starts, axis=-1)
     theta = np.remainder(raw, TWO_PI)
     theta[theta > math.pi] -= TWO_PI
@@ -108,9 +117,10 @@ class SpectrumResult:
     """Exact eigenvalue multiset of a k-circulant.
 
     eigenvalues holds the n - n' structural zeros first (exact 0+0j), then for
-    each orbit block its n_j roots of Pi_j in root order r = 0..n_j-1.
-    block_index is -1 for structural zeros. A stack of inputs gives
-    eigenvalues and dft one row per input; the rest is shared.
+    each orbit block its n_j roots of Pi_j in root order r = 0..n_j-1. A stack
+    of inputs gives eigenvalues and dft one row per input; the rest is shared.
+    block_index (-1 for structural zeros) and root_index label each eigenvalue;
+    both are computed when read.
     """
 
     eigenvalues: np.ndarray
@@ -118,8 +128,20 @@ class SpectrumResult:
     dft: np.ndarray
     params: KCirculantParams
     partition: EigenPartition
-    block_index: np.ndarray
-    root_index: np.ndarray
+
+    @property
+    def block_index(self) -> np.ndarray:
+        runs = np.concatenate([[self.zero_multiplicity], self.partition.sizes])
+        return np.repeat(np.arange(-1, self.partition.block_count), runs)
+
+    @property
+    def root_index(self) -> np.ndarray:
+        return np.concatenate([np.arange(self.zero_multiplicity), _root_rank(self.partition)])
+
+
+def _root_rank(partition: EigenPartition) -> np.ndarray:
+    """Rank r = 0..n_j-1 of each root within its block, in eigenvalue order."""
+    return np.arange(partition.n_prime) - np.repeat(partition.starts, partition.sizes)
 
 
 def _reduced_structure(n: int, k: int):
@@ -137,29 +159,25 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     with theta_j the principal argument of Pi_j. A 2-D stack of inputs, one
     per row, gives one row of eigenvalues per input.
     """
-    a = as_input_sequence(a, rows=True)
-    if a.shape[-1] != n:
-        raise ValueError(f"input length {a.shape[-1]} does not match n = {n}")
+    a = as_input_sequence(a, rows=True, n=n)
     params, partition, idx = _reduced_structure(n, k)
     lam = dft(a)
     log_mod, theta = _log_block_products(lam, partition, idx)
 
-    m = params.n_prime
+    # every root of block j shares |Pi_j|^(1/n_j) and the step 1/n_j; the in-place
+    # steps below round exactly as |Pi_j|^(1/n_j) * (cos + 1j * sin) would
     sizes = partition.sizes
-    j_of = np.repeat(np.arange(sizes.size), sizes)
-    r = np.arange(m) - partition.starts[j_of]
-    inv = 1.0 / sizes[j_of]
-    root_mod = np.exp(log_mod.take(j_of, axis=-1) * inv)
-    ang = (theta.take(j_of, axis=-1) + TWO_PI * r) * inv
-    roots = root_mod * (np.cos(ang) + 1j * np.sin(ang))
-
-    zeros = n - m
-    eigs = np.concatenate([np.zeros(a.shape[:-1] + (zeros,), complex), roots], axis=-1)
-    block_index = np.concatenate([np.full(zeros, -1, dtype=np.int64), j_of])
-    root_index = np.concatenate([np.arange(zeros, dtype=np.int64), r])
-    return SpectrumResult(eigenvalues=eigs, zero_multiplicity=zeros, dft=lam,
-                          params=params, partition=partition,
-                          block_index=block_index, root_index=root_index)
+    inv = 1.0 / sizes
+    zeros = n - params.n_prime
+    eigs = np.zeros(a.shape[:-1] + (n,), complex)
+    ang = np.repeat(theta, sizes, axis=-1)
+    ang += TWO_PI * _root_rank(partition)
+    ang *= np.repeat(inv, sizes)
+    roots = eigs[..., zeros:]
+    np.multiply(1j, np.sin(ang), out=roots)
+    roots += np.cos(ang)
+    roots *= np.repeat(np.exp(log_mod * inv), sizes, axis=-1)  # |Pi_j|^(1/n_j)
+    return SpectrumResult(eigs, zeros, lam, params, partition)
 
 
 def formula_radius(a, k: int, n: int) -> float:
@@ -169,13 +187,9 @@ def formula_radius(a, k: int, n: int) -> float:
     |lambda_t| exactly, so the half-spectrum real FFT supplies every factor.
     Agrees with the largest |eigenvalue| of formula_spectrum to a few ulp.
     """
-    a = as_input_sequence(a)
-    if a.size != n:
-        raise ValueError(f"input length {a.size} does not match n = {n}")
+    a = as_input_sequence(a, n=n)
     _, partition, idx = _reduced_structure(n, k)
-    with np.errstate(divide="ignore"):
-        half_logs = np.log(np.abs(np.fft.rfft(a)))
-    log_mod = np.add.reduceat(half_logs[np.minimum(idx, n - idx)], partition.starts)
+    log_mod = _log_moduli(np.fft.rfft(a), n, partition, idx)
     return float(np.exp(log_mod * (1.0 / partition.sizes)).max())
 
 

@@ -1,17 +1,23 @@
 """Independent oracles and a CLI runner used only by the test suite.
 
 orbit_walk is the pure-Python enumeration of the orbits of t -> t*k (mod n')
-that the vectorized kcirculant.numtheory.eigen_partition is checked against;
+that the vectorized kcirculant.numtheory.eigen_partition is checked against,
+through the tuple views blocks_of and conjugate_block_of;
 lower_order_count_ie counts the elements in smaller orbits by
 inclusion-exclusion instead, and gcd_power_bound checks the gcd(k^b +- 1,
 k^c +- 1) bound of the counting lemmas. dft_naive is the O(n^2) DFT,
 block_products the complex per-orbit products Pi_j, and det_probe_oracle
 compares LU determinants of lambda*I - A with the factorized characteristic
-polynomial. lsd_sample draws from a limit law and export_points_csv writes
-such a cloud. product_tail is the nested-quadrature tail of a product of
-exponentials that the Gil-Pelaez radial CDF in kcirculant.limits is checked
-against; quad_smooth is the adaptive quadrature under it. The modified Bessel
-function K1 here is a from-scratch series/asymptotic implementation,
+polynomial. reference_formula_spectrum is the first, concatenate-based
+assembly of the exact spectrum, which formula_spectrum must match bit for
+bit; reference_ks_radial and reference_iid_max_reference are likewise the
+first forms of ks_radial (np.unique over the radii) and of the i.i.d.
+reference (two exponential draws per trial). lsd_sample draws from a limit
+law and export_points_csv writes such a cloud. product_tail is the
+nested-quadrature tail of a product of exponentials that the Gil-Pelaez
+radial CDF in kcirculant.limits is checked against; quad_smooth is the
+adaptive quadrature under it. The modified Bessel function K1 here is a
+from-scratch series/asymptotic implementation,
 deliberately sharing nothing with the scipy K1 that kcirculant.extremes.kbar
 evaluates. Worst-case relative error is below 1e-8 on (0, 40] (largest at the
 z = 8 crossover), verified against frozen high-precision reference values in
@@ -36,7 +42,8 @@ import scipy.integrate
 
 from kcirculant import spectral
 from kcirculant._textio import write_text
-from kcirculant.limits import _ROOTS, LsdLaw
+from kcirculant.extremes import normalization, standardize_radius
+from kcirculant.limits import _ROOTS, LsdLaw, _radial_cdf
 from kcirculant.montecarlo import ExperimentReport
 from kcirculant.numtheory import (
     EigenPartition,
@@ -99,7 +106,8 @@ def orbit_walk(n_prime: int, k: int) -> dict:
     """Walk every orbit of t -> t*k (mod n') one element at a time.
 
     Returns blocks (sorted tuples by ascending smallest member), sizes, g1,
-    conjugate_block and upsilon, the same quantities EigenPartition exposes.
+    conjugate_block and upsilon: what blocks_of and conjugate_block_of read
+    from an EigenPartition, and its sizes, g1 and upsilon.
     """
     m = n_prime
     kp = k % m if m > 1 else 0
@@ -125,6 +133,16 @@ def orbit_walk(n_prime: int, k: int) -> dict:
     return {"blocks": tuple(blocks), "sizes": sizes, "g1": g1,
             "conjugate_block": tuple(block_of[(m - b[0]) % m] for b in blocks),
             "upsilon": Fraction(sum(s for s in sizes if s < g1), m)}
+
+
+def blocks_of(partition: EigenPartition) -> tuple[tuple[int, ...], ...]:
+    """The partition's blocks as tuples of members, in block order."""
+    return tuple(tuple(b.tolist()) for b in np.split(partition.members, partition.starts[1:]))
+
+
+def conjugate_block_of(partition: EigenPartition) -> tuple[int, ...]:
+    """Index of the block holding the reflections of each block, as a tuple."""
+    return tuple(partition.conjugate.tolist())
 
 
 def lower_order_count_ie(params: KCirculantParams) -> int:
@@ -207,6 +225,53 @@ def block_products(dft_values, params: KCirculantParams) -> np.ndarray:
     _, partition, idx = structure(params.n, params.k)
     log_mod, theta = _log_block_products(lam, partition, idx)
     return _assemble_products(log_mod, theta, partition)
+
+
+def reference_formula_spectrum(a, k: int, n: int):
+    """formula_spectrum assembled as it first was: log moduli of all n DFT
+    values, per-root gathers, and one concatenate of zeros and roots.
+
+    Returns (eigenvalues, dft, block_index, root_index); the library must
+    reproduce every bit of each.
+    """
+    a = as_input_sequence(a, rows=True)
+    params, partition, idx = _reduced_structure(n, k)
+    lam = spectral.dft(a)
+    _, theta = _log_block_products(lam, partition, idx)
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(lam.take(idx, axis=-1)))
+    log_mod = np.add.reduceat(logs, partition.starts, axis=-1)
+    m = params.n_prime
+    sizes = partition.sizes
+    j_of = np.repeat(np.arange(sizes.size), sizes)
+    r = np.arange(m) - partition.starts[j_of]
+    inv = 1.0 / sizes[j_of]
+    root_mod = np.exp(log_mod.take(j_of, axis=-1) * inv)
+    ang = (theta.take(j_of, axis=-1) + TWO_PI * r) * inv
+    roots = root_mod * (np.cos(ang) + 1j * np.sin(ang))
+    zeros = n - m
+    eigs = np.concatenate([np.zeros(a.shape[:-1] + (zeros,), complex), roots], axis=-1)
+    block_index = np.concatenate([np.full(zeros, -1, dtype=np.int64), j_of])
+    root_index = np.concatenate([np.arange(zeros, dtype=np.int64), r])
+    return eigs, lam, block_index, root_index
+
+
+def reference_ks_radial(sample, law: LsdLaw) -> float:
+    """ks_radial with the distinct radii and their inverse from np.unique."""
+    uniq, inverse = np.unique(np.sort(np.abs(sample.nonstructural_points())),
+                              return_inverse=True)
+    f = _radial_cdf(law.g, uniq)[inverse]
+    steps = np.arange(f.size + 1) / f.size
+    return float(max((steps[1:] - f).max(), (f - steps[:-1]).max()))
+
+
+def reference_iid_max_reference(q: int, trials: int, master_seed: int) -> np.ndarray:
+    """iid_max_reference drawing each trial's two exponential vectors separately."""
+    maxima = np.empty(trials)
+    for i in range(trials):
+        gen = np.random.default_rng(derive_trial_seed(master_seed, i))
+        maxima[i] = (gen.exponential(size=q) * gen.exponential(size=q)).max()
+    return standardize_radius(maxima**0.25, normalization(q))
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 import kcirculant
 from helpers import kcirc, run_python
 from kcirculant import extremes, limits, montecarlo, numtheory, spectral
-from kcirculant.cli import main
+from kcirculant.cli import build_parser, main
 
 
 class TestPartition:
@@ -388,6 +389,61 @@ class TestOneOrbitWalkPerCommand:
         numtheory.structure.cache_clear()
         assert main(argv) in (0, 1)
         assert len(walks) == 1
+
+
+def _exit_text(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that ends the program."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    return (stop.value.code, *capsys.readouterr())
+
+
+COMMANDS = ["partition", "spectrum", "lsd", "gumbel", "verify", "tail"]  # in help order
+
+
+class TestOneSubparserPerCommand:
+    # every subcommand's help and one usage error; the full parser's own cases
+    @pytest.mark.parametrize("argv", [
+        *[[name, "--help"] for name in COMMANDS],
+        ["partition", "--k", "3"],
+        ["spectrum", "--format", "png"],
+        ["lsd", "--k", "3", "--n", "10"],
+        ["gumbel", "--trials", "8"],
+        ["verify", "--nmax"],
+        ["tail"],
+        ["partition", "--k", "3", "--n", "10", "extra"],
+        ["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--bogus", "1"],
+        ["--help"], [], ["bogus"],
+    ])
+    def test_same_bytes_and_exit_code_as_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = _exit_text(build_parser().parse_args, argv, capsys)
+        command = argv[0] if argv and argv[0] in COMMANDS else None
+        assert _exit_text(build_parser(command).parse_args, argv, capsys) == full
+        assert _exit_text(main, argv, capsys) == full
+        assert full[0] in (0, 2) and full[1] + full[2]
+
+    @pytest.mark.parametrize("argv, built", [
+        (["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--trials", "2"], ["lsd"]),
+        (["partition", "--k", "3", "--n", "10"], ["partition"]),
+        (["tail", "--x", "1"], ["tail"]),
+        (["--help"], COMMANDS),
+    ])
+    def test_command_builds_only_its_subparser(self, argv, built, monkeypatch, capsys):
+        made = []
+        original = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            made.append(name)
+            return original(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # --help
+            code = stop.code
+        assert code in (0, 1)
+        assert made == built
 
 
 class TestTail:

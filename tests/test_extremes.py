@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import bessel_k1, block_products, kbar_closed_form
+from helpers import (
+    bessel_k1,
+    block_products,
+    blocks_of,
+    kbar_closed_form,
+    reference_iid_max_reference,
+)
 from kcirculant.extremes import (
     gumbel_cdf,
     iid_max_reference,
@@ -148,7 +154,7 @@ class TestSpectralRadius:
         products = block_products(spectrum.dft, spectrum.params)
         by_products = max(
             abs(products[j]) ** (1.0 / len(blk))
-            for j, blk in enumerate(spectrum.partition.blocks))
+            for j, blk in enumerate(blocks_of(spectrum.partition)))
         assert np.abs(spectrum.eigenvalues).max() == pytest.approx(by_products, rel=1e-12)
 
     def test_matches_dense_oracle(self):
@@ -177,6 +183,13 @@ class TestIidMaxReference:
 
     def test_deterministic_per_master_seed(self):
         assert np.array_equal(iid_max_reference(100, 5, 7), iid_max_reference(100, 5, 7))
+
+    @pytest.mark.parametrize("q", [2, 3, 257, 2500, 4999])
+    @pytest.mark.parametrize("master_seed", [0, 7, 20260811, 2**63 + 5])
+    def test_same_streams_as_two_draws_per_trial(self, q, master_seed):
+        got = iid_max_reference(q, 4, master_seed)
+        assert np.array_equal(got.view(np.uint64),
+                              reference_iid_max_reference(q, 4, master_seed).view(np.uint64))
 
     def test_median_near_gumbel_median(self):
         # Gumbel median is -ln(ln 2) = 0.36651292...; at q = 1e4 the exact

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import export_points_csv, kbar_closed_form, lsd_sample, product_tail
+from helpers import (
+    export_points_csv,
+    kbar_closed_form,
+    lsd_sample,
+    product_tail,
+    reference_ks_radial,
+)
 from kcirculant.limits import (
     DEGENERATE_RADIUS,
     LsdLaw,
@@ -263,6 +269,28 @@ class TestKs:
         sample = EsdSample(points=np.array([], dtype=complex), n=0)
         with pytest.raises(ValueError):
             ks_radial(sample, law3(2))
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    @pytest.mark.parametrize("points, structural", [
+        ([1, -1, 1j, -1j, 0.5, -0.5j, 2, 2], 0),                 # exact ties
+        ([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 1.0, 0.75j], 0),  # +-0
+        ([0.0, 0.0, complex(-0.0, 0.0), 0.3, 0.3, -0.3, 1.2], 2),  # zeros skipped, then +-0
+        ([0.9j], 0),                                               # a single point
+        ([0.0], 0),
+    ])
+    def test_radial_equals_unique_form(self, g, points, structural):
+        sample = EsdSample(points=np.array(points, dtype=complex), n=len(points),
+                           structural_zeros_in_points=structural)
+        assert ks_radial(sample, law3(g)) == reference_ks_radial(sample, law3(g))
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300), levels=st.integers(1, 40))
+    def test_radial_equals_unique_form_on_quantized_radii(self, seed, size, levels):
+        rng = np.random.default_rng(seed)  # few radius levels: many exact ties
+        radii = rng.integers(0, levels, size) / levels * 2.0
+        points = radii * np.exp(2j * np.pi * rng.random(size))
+        sample = EsdSample(points=points, n=size)
+        assert ks_radial(sample, law4(2)) == reference_ks_radial(sample, law4(2))
 
 
 class TestAngular:

@@ -75,6 +75,13 @@ class TestInputLaws:
         assert abs(sample_m3.mean() - m3) <= band
 
 
+    @pytest.mark.parametrize("seed", [0, 1, 20260811])
+    def test_centered_exponential_is_exponential_minus_one(self, seed):
+        got = INPUT_LAWS["centered_exponential"].sample(np.random.default_rng(seed), 1000)
+        want = np.random.default_rng(seed).exponential(1.0, 1000) - 1.0
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestExperimentConfig:
     @pytest.mark.parametrize("kind, tolerances", [
         (KIND_LSD3, {"bogus": 1}),

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import gcd_power_bound, lower_order_count_ie, orbit_walk
+from helpers import (
+    blocks_of,
+    conjugate_block_of,
+    gcd_power_bound,
+    lower_order_count_ie,
+    orbit_walk,
+)
 from kcirculant.montecarlo import (
     KIND_LSD3,
     KIND_LSD4,
@@ -77,29 +83,29 @@ class TestOrbit:
 class TestEigenPartition:
     def test_k2_n7(self):
         part = eigen_partition(decompose(7, 2))
-        assert part.blocks == ((0,), (1, 2, 4), (3, 5, 6))
+        assert blocks_of(part) == ((0,), (1, 2, 4), (3, 5, 6))
         assert part.g1 == 3
-        assert part.conjugate_block == (0, 2, 1)
+        assert conjugate_block_of(part) == (0, 2, 1)
         assert not part.self_conjugate[1]
 
     def test_k3_n10(self):
         part = eigen_partition(decompose(10, 3))
-        assert set(part.blocks) == {(0,), (5,), (1, 3, 7, 9), (2, 4, 6, 8)}
+        assert set(blocks_of(part)) == {(0,), (5,), (1, 3, 7, 9), (2, 4, 6, 8)}
         assert part.g1 == 4
-        for j, blk in enumerate(part.blocks):
+        for j, blk in enumerate(blocks_of(part)):
             if len(blk) == 4:
                 assert part.self_conjugate[j]
 
     def test_k1_gives_singletons(self):
         part = eigen_partition(decompose(5, 1))
-        assert part.blocks == tuple((x,) for x in range(5))
+        assert blocks_of(part) == tuple((x,) for x in range(5))
         assert part.g1 == 1
 
     def test_blocks_ordered_by_smallest_member(self):
         part = eigen_partition(decompose(101, 10))
-        mins = [blk[0] for blk in part.blocks]
+        mins = [blk[0] for blk in blocks_of(part)]
         assert mins == sorted(mins)
-        assert part.blocks[0] == (0,)
+        assert blocks_of(part)[0] == (0,)
 
     @pytest.mark.parametrize("n,k", [(7, 2), (10, 3), (101, 10), (99, 10),
                                      (64, 3), (243, 2), (360, 7)])
@@ -108,19 +114,19 @@ class TestEigenPartition:
         part = eigen_partition(params)
         m = params.n_prime
         kp = params.k % m if m > 1 else 0
-        all_elements = [t for blk in part.blocks for t in blk]
+        all_elements = [t for blk in blocks_of(part) for t in blk]
         assert sorted(all_elements) == list(range(m))        # totality + disjoint
         assert sum(part.sizes) == m
-        for j, blk in enumerate(part.blocks):
+        for j, blk in enumerate(blocks_of(part)):
             members = set(blk)
             for t in blk:
                 assert t * kp % m in members                 # closure
             assert part.g1 % len(blk) == 0                   # orbit size divides g1
             # conjugacy is all-or-nothing and symmetric
-            partner = part.conjugate_block[j]
-            partner_set = set(part.blocks[partner])
+            partner = conjugate_block_of(part)[j]
+            partner_set = set(blocks_of(part)[partner])
             assert {(m - t) % m for t in blk} == partner_set
-            assert part.conjugate_block[partner] == j
+            assert conjugate_block_of(part)[partner] == j
 
     def test_lower_order_subset_of_multiples(self):
         # every x of orbit size g satisfies x = 0 mod n'/gcd(k^g - 1, n')
@@ -128,7 +134,7 @@ class TestEigenPartition:
             params = decompose(n, k)
             part = eigen_partition(params)
             m = params.n_prime
-            for j, blk in enumerate(part.blocks):
+            for j, blk in enumerate(blocks_of(part)):
                 g = len(blk)
                 divisor = m // math.gcd(pow(params.k, g, m) - 1, m)
                 for t in blk:
@@ -139,9 +145,9 @@ def assert_matches_orbit_walk(n, k):
     params = decompose(n, k)
     part = eigen_partition(params)
     want = orbit_walk(params.n_prime, params.k)
-    assert part.blocks == want["blocks"]
+    assert blocks_of(part) == want["blocks"]
     assert tuple(part.sizes.tolist()) == want["sizes"]
-    assert part.conjugate_block == want["conjugate_block"]
+    assert conjugate_block_of(part) == want["conjugate_block"]
     assert part.g1 == want["g1"]
     assert part.upsilon == structure(n, k)[1].upsilon == want["upsilon"]
 

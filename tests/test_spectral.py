@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import block_products, det_probe_oracle, dft_naive
+from helpers import (
+    block_products,
+    blocks_of,
+    det_probe_oracle,
+    dft_naive,
+    reference_formula_spectrum,
+)
 from kcirculant.numtheory import decompose, eigen_partition
 from kcirculant.spectral import (
     as_input_sequence,
@@ -123,7 +129,7 @@ class TestBlockProducts:
         params = decompose(10, 3)
         part = eigen_partition(params)
         prods = block_products(dft(a), params)
-        j = part.blocks.index((5,))
+        j = blocks_of(part).index((5,))
         alternating = np.sum(a * (-1.0) ** np.arange(10))
         assert prods[j].imag == 0.0
         assert prods[j].real == pytest.approx(alternating)
@@ -136,8 +142,8 @@ class TestBlockProducts:
         spectrum = formula_spectrum(a, k, n)
         lam = dft(a)
         assert lam[0].real < 0 and lam[5].real < 0
-        j0 = spectrum.partition.blocks.index((0,))
-        j5 = spectrum.partition.blocks.index((5,))
+        j0 = blocks_of(spectrum.partition).index((0,))
+        j5 = blocks_of(spectrum.partition).index((5,))
         prods = block_products(spectrum.dft, spectrum.params)
         assert prods[j0] == lam[0].real
         assert prods[j5] == lam[5].real
@@ -153,7 +159,7 @@ class TestBlockProducts:
         params = decompose(101, 10)
         part = eigen_partition(params)
         prods = block_products(dft(a), params)
-        for j, blk in enumerate(part.blocks):
+        for j, blk in enumerate(blocks_of(part)):
             if len(blk) == 4:
                 assert prods[j].imag == 0.0
                 assert prods[j].real >= 0.0
@@ -167,7 +173,7 @@ class TestBlockProducts:
             lam = dft(a)
             prods = block_products(lam, params)
             y = n // params.n_prime
-            for j, blk in enumerate(part.blocks):
+            for j, blk in enumerate(blocks_of(part)):
                 direct = np.prod(lam[np.array(blk) * y])
                 assert abs(prods[j] - direct) <= 1e-10 * max(1.0, abs(direct))
 
@@ -224,7 +230,7 @@ class TestFormulaSpectrum:
         a = rng.standard_normal(10)
         spectrum = formula_spectrum(a, 3, 10)
         prods = block_products(spectrum.dft, spectrum.params)
-        for j, blk in enumerate(spectrum.partition.blocks):
+        for j, blk in enumerate(blocks_of(spectrum.partition)):
             roots = spectrum.eigenvalues[spectrum.block_index == j]
             assert roots.size == len(blk)
             assert np.allclose(roots ** len(blk), prods[j], rtol=1e-9)
@@ -314,6 +320,43 @@ class TestStackedInputs:
     def test_dense_oracle_rejects_non_square_stack(self):
         with pytest.raises(ValueError, match="square"):
             dense_spectrum_oracle(np.ones((2, 3, 4)))
+
+
+def _delta(rng, shape):
+    a = np.zeros(shape)
+    a[..., 0] = 1.0
+    return a
+
+
+INPUT_KINDS = {
+    "gaussian": lambda rng, shape: rng.standard_normal(shape),
+    "rademacher": lambda rng, shape: rng.integers(0, 2, shape) * 2.0 - 1.0,
+    "ones": lambda rng, shape: np.ones(shape),
+    "delta": _delta,
+}
+
+
+class TestAssemblyBitForBit:
+    """The in-place assembly reproduces the first, concatenate-based one exactly:
+    all-ones and delta inputs put exact zeros, and so signed zeros, in the roots."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 512), k=st.integers(1, 1024), rows=st.sampled_from([0, 1, 3]),
+           kind=st.sampled_from(sorted(INPUT_KINDS)), seed=st.integers(0, 2**32 - 1))
+    @example(n=122, k=2, rows=3, kind="ones", seed=0)    # 61 zeros, one 60-block
+    @example(n=128, k=3, rows=0, kind="delta", seed=0)   # blocks of size 32
+    def test_matches_reference_assembly(self, n, k, rows, kind, seed):
+        if k % n == 0:
+            k += 1
+        a = INPUT_KINDS[kind](np.random.default_rng(seed), (rows, n) if rows else (n,))
+        spectrum = formula_spectrum(a, k, n)
+        eigs, lam, block_index, root_index = reference_formula_spectrum(a, k, n)
+        assert spectrum.eigenvalues.shape == eigs.shape
+        assert np.array_equal(spectrum.eigenvalues.view(np.uint64), eigs.view(np.uint64))
+        assert np.array_equal(spectrum.dft.view(np.uint64), lam.view(np.uint64))
+        for got, want in ((spectrum.block_index, block_index),
+                          (spectrum.root_index, root_index)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestFormulaRadius:
