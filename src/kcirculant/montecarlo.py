@@ -355,11 +355,10 @@ def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
         tol = SWEEP_TOL_FACTOR * n
         pair_worst = pair_scatter = 0.0
         ok = True
-        seeds = [derive_trial_seed(master_seed, idx * samples_per_pair + s)
-                 for s in range(samples_per_pair)]
-        for lo in range(0, samples_per_pair, SWEEP_STACK):
-            a = np.stack([np.random.default_rng(seed).standard_normal(n)
-                          for seed in seeds[lo:lo + SWEEP_STACK]])
+        end = (idx + 1) * samples_per_pair  # trial indices of this pair end here
+        for lo in range(end - samples_per_pair, end, SWEEP_STACK):
+            a = np.stack([np.random.default_rng(derive_trial_seed(master_seed, t)).standard_normal(n)
+                          for t in range(lo, min(lo + SWEEP_STACK, end))])
             spectrum = spectral.formula_spectrum(a, k, n)
             zeros = spectrum.zero_multiplicity
             stack = spectral.dense_spectrum_oracle(spectral.build_matrix(a, k, n))

@@ -213,24 +213,76 @@ def dense_spectrum_oracle(matrix) -> np.ndarray:
         raise RuntimeError(f"dense eigensolver failed to converge (n={M.shape[-1]})") from exc
 
 
+def _least_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair each row of cost (rows <= columns, entries >= 0 or NaN) with a distinct
+    column at the least summed cost: (each row's column, each pair's cost).
+
+    Phase 1 gives each row its cheapest column: optimal when no column is taken
+    twice, as the row minima bound every assignment from below. Otherwise the first
+    row keeps a contested column, as in a row-by-row solve, and each row left over
+    gets one shortest augmenting path over the reduced costs cost - u - v
+    (rectangular Jonker-Volgenant, Crouse 2016, IEEE TAES 52(4)) from the phase-1
+    duals u = row minima, v = 0. A path ends at a free column as soon as one is as
+    close as any taken one. Raises ValueError on NaN or if no finite sum exists.
+    """
+    col4row = cost.argmin(axis=1) if cost.size else np.zeros(len(cost), int)
+    rows = np.arange(len(cost))
+    u = cost[rows, col4row]  # argmin returns a NaN's index, so a NaN row gives u = NaN
+    if not u.max(initial=0.0) < np.inf:
+        raise ValueError("cost matrix has NaN or a row with no finite entry")
+    taken = np.zeros(cost.shape[1], bool)
+    taken[col4row] = True
+    if np.count_nonzero(taken) == len(cost):
+        return col4row, u
+    row4col = np.full(cost.shape[1], -1)
+    row4col[col4row[::-1]] = rows[::-1]  # repeats are written in order: the first row wins
+    v = np.zeros(cost.shape[1])
+    for cur in rows[row4col[col4row] != rows]:
+        dist = np.full(cost.shape[1], np.inf)  # shortest path cost to each column
+        path = np.zeros(cost.shape[1], int)  # the row a shortest path reaches it from
+        done = np.zeros(cost.shape[1], bool)
+        seen, i, lowest = [], cur, 0.0
+        while True:
+            seen.append(i)
+            reduced = lowest + cost[i] - u[i] - v
+            closer = (reduced < dist) & ~done
+            dist[closer], path[closer] = reduced[closer], i
+            lowest = np.where(done, np.inf, dist).min()
+            if lowest == np.inf:
+                raise ValueError("cost matrix is infeasible")
+            near = np.flatnonzero(~done & (dist == lowest))
+            j = near[np.argmin(row4col[near] >= 0)]  # the first free one, if any
+            done[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += lowest
+        u[seen[1:]] += lowest - dist[col4row[seen[1:]]]
+        v[done] -= lowest - dist[done]
+        while True:  # flip the pairs along the path, from the free column back to cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row, cost[rows, col4row]
+
+
 def spectra_match(s1, s2, tol: float) -> tuple[float, bool, np.ndarray]:
     """Pair each value of s1 with a distinct value of s2 at the least summed distance.
 
-    One linear_sum_assignment over |s1[i] - s2[j]|, for len(s1) <= len(s2).
-    The pairing minimizes the sum of distances, so its largest distance is an
-    upper bound on the bottleneck optimum (the smallest achievable largest
-    pair distance). Returns (largest pair distance, that distance <= tol, the
-    values of s2 left unpaired).
+    One exact least-sum assignment over |s1[i] - s2[j]|, for len(s1) <= len(s2),
+    in numpy alone (_least_sum_assignment). The pairing minimizes the sum of
+    distances, so its largest distance is an upper bound on the bottleneck
+    optimum (the smallest achievable largest pair distance). Returns (largest
+    pair distance, that distance <= tol, the values of s2 left unpaired).
     """
-    from scipy.optimize import linear_sum_assignment
-
     e1 = np.asarray(s1, dtype=complex).ravel()
     e2 = np.asarray(s2, dtype=complex).ravel()
     if e1.size > e2.size:
         raise ValueError(f"s1 has {e1.size} values but s2 only {e2.size}")
-    cost = np.abs(e1[:, None] - e2[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    dist = float(cost[rows, cols].max(initial=0.0))
+    cols, paired = _least_sum_assignment(np.abs(e1[:, None] - e2[None, :]))
+    dist = float(paired.max(initial=0.0))
     return dist, dist <= tol, np.delete(e2, cols)
 
 

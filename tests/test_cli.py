@@ -520,6 +520,7 @@ class TestScipyLoadedOnDemand:
         ["partition", "--k", "3", "--n", "10", "--json"],
         ["spectrum", "--k", "2", "--n", "9"],
         ["gumbel", "--kk", "4", "--trials", "8"],
+        ["verify", "--nmax", "3", "--samples", "1"],
     ])
     def test_command_loads_no_scipy(self, argv):
         assert _scipy_modules_after(*argv) == []
@@ -529,10 +530,6 @@ class TestScipyLoadedOnDemand:
                                       "--trials", "2")
         assert "scipy.special" in loaded
         assert "scipy.optimize" not in loaded
-
-    def test_verify_loads_optimize(self):
-        assert "scipy.optimize" in _scipy_modules_after("verify", "--nmax", "3",
-                                                        "--samples", "1")
 
     def test_tail_loads_special_but_not_optimize(self):
         loaded = _scipy_modules_after("tail", "--x", "1")

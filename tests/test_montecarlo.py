@@ -231,6 +231,18 @@ class TestGumbelExperiment:
         assert "standardized" in report.trials[0]
 
 
+def _sweep_peak(n_max, samples):
+    """tracemalloc peak, in bytes, of one oracle_sweep(n_max, samples) call."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        oracle_sweep(n_max, samples, master_seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestOracleSweep:
     def test_two_by_two_closed_form(self):
         report = oracle_sweep(2, 3, master_seed=1)
@@ -261,22 +273,21 @@ class TestOracleSweep:
         assert report.passed is not bool(fuzz)
 
     def test_memory_does_not_grow_with_samples(self):
-        import tracemalloc
-
         # n_max = 10: 45 pairs, all held by the structure cache after the warm-up.
         # Peaks (64 vs 8 samples) measured 29945 vs 27272 bytes; a sweep that
         # stacks all of a pair's samples into one call measured 133352 vs 27272.
-        def peak(samples):
-            tracemalloc.start()
-            try:
-                oracle_sweep(10, samples, master_seed=1)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        oracle_sweep(10, 1, master_seed=1)  # imports the assignment solver untraced
+        oracle_sweep(10, 1, master_seed=1)  # fills the structure cache untraced
         assert SWEEP_STACK <= 8
-        assert peak(64) <= 1.25 * peak(8)
+        assert _sweep_peak(10, 64) <= 1.25 * _sweep_peak(10, 8)
+
+    def test_seed_memory_does_not_grow_with_samples(self):
+        # n_max = 2: one pair and one trial record, so a pair's seed list built up
+        # front (about 44 bytes a sample) dominates the peak. Peaks (2048 vs 8
+        # samples) measured 8217 vs 7073 bytes; with the list built up front,
+        # 99845 vs 7561. The untraced warm-up at the larger count fills the
+        # interpreter's free lists first.
+        oracle_sweep(2, 2048, master_seed=1)
+        assert _sweep_peak(2, 2048) <= 1.25 * _sweep_peak(2, 8)
 
     @pytest.mark.parametrize("arg", ["fuzz"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -16,6 +16,7 @@ from helpers import (
 )
 from kcirculant.numtheory import decompose, eigen_partition
 from kcirculant.spectral import (
+    _least_sum_assignment,
     as_input_sequence,
     build_matrix,
     dense_spectrum_oracle,
@@ -28,6 +29,16 @@ from kcirculant.spectral import (
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 EPS = np.finfo(float).eps
+
+
+@st.composite
+def tied_costs(draw):
+    """A rows x columns cost matrix (rows <= columns <= 6) of small integers, so
+    exact ties and columns contested by several rows' minima are common."""
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.integers(0, cols))
+    cells = draw(st.lists(st.integers(0, 3), min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=float).reshape(rows, cols)
 
 
 @st.composite
@@ -524,6 +535,62 @@ class TestSpectraMatch:
             assert any(abs(total - least_sum) <= 1e-12 and largest == dist
                        and np.array_equal(rest, np.sort(leftover))
                        for total, largest, rest in pairings), (s1, s2)
+
+    @settings(PROPERTY, max_examples=300)
+    @given(tied_costs())
+    def test_least_sum_equals_brute_force_on_ties(self, cost):
+        rows = np.arange(len(cost))
+        cols, paired = _least_sum_assignment(cost.copy())
+        assert len(set(cols.tolist())) == len(cost)
+        assert np.array_equal(paired, cost[rows, cols])
+        least = min(cost[rows, list(perm)].sum()
+                    for perm in itertools.permutations(range(cost.shape[1]), len(cost)))
+        assert paired.sum() == least
+
+    def test_same_pairing_as_scipy_without_ties(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(19)
+        contested = 0
+        for _ in range(400):
+            n_rows = int(rng.integers(1, 41))
+            cost = rng.random((n_rows, int(rng.integers(n_rows, 42))))
+            contested += np.unique(cost.argmin(axis=1)).size < n_rows
+            cols, _ = _least_sum_assignment(cost.copy())
+            assert np.array_equal(cols, linear_sum_assignment(cost)[1])
+        assert contested > 300  # most draws need augmenting paths
+
+    def test_contested_column_is_rerouted(self):
+        # both rows' cheapest column is 0; the least sum gives it to row 1
+        cols, paired = _least_sum_assignment(np.array([[1.0, 2.0], [1.0, 3.0]]))
+        assert cols.tolist() == [1, 0] and paired.sum() == 3.0
+
+    def test_tied_path_ends_at_the_first_free_column(self):
+        # row 1 reaches free column 2 and row 0's column 0 at the same cost; ending
+        # at column 2 keeps row 0's pair, as scipy's row-by-row solve does
+        from scipy.optimize import linear_sum_assignment
+
+        cost = np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+        cols, _ = _least_sum_assignment(cost.copy())
+        assert cols.tolist() == [0, 2] == linear_sum_assignment(cost)[1].tolist()
+
+    @pytest.mark.parametrize("s1, s2", [
+        ([np.nan], [1.0, 2.0]),                 # NaN distances
+        ([1.0, 2.0], [np.nan, 1.0, 3.0]),
+        ([np.inf], [1.0, 2.0]),                 # a row with no finite distance
+    ])
+    def test_non_finite_distances_raise(self, s1, s2):
+        with pytest.raises(ValueError, match="NaN or a row with no finite entry"):
+            spectra_match(s1, s2, 1.0)
+
+    def test_infeasible_costs_raise(self):
+        # each row is finite only at column 0, so no pairing has a finite sum
+        with pytest.raises(ValueError, match="infeasible"):
+            _least_sum_assignment(np.array([[1.0, np.inf], [2.0, np.inf]]))
+
+    def test_empty_input(self):
+        dist, ok, leftover = spectra_match([], [], 0.0)
+        assert (dist, ok, leftover.size) == (0.0, True, 0)
 
     @pytest.mark.parametrize("k, n", [(2, 18), (4, 15)])
     def test_moved_eigenvalue_fails(self, k, n):
