@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._textio import write_text
+from .limits import _k1e
 from .seeding import derive_trial_seed
 
 __all__ = [
@@ -64,11 +65,11 @@ def kbar(x: float) -> float:
     """Tail probability P(E1*E2 > x) = integral exp(-y - x/y) dy over (0, inf).
 
     The integral is s K_1(s) at s = 2 sqrt(x), with K_1 the modified Bessel
-    function of the second kind, to relative accuracy near 1e-13. It is
-    exactly 0 once s > 745, where exp(-s) underflows.
+    function of the second kind from the trapezoidal rule that the g = 2
+    radial CDF uses too, to relative accuracy near 1e-13. It is exactly 0
+    once s > 745, where exp(-s) underflows, and at most 1: below x = 1e-10
+    rounding would pass 1 by up to 3 ulp.
     """
-    from scipy.special import k1
-
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x == 0:
@@ -76,7 +77,7 @@ def kbar(x: float) -> float:
     s = 2.0 * math.sqrt(x)
     if s > 745.0:
         return 0.0
-    return float(s * k1(s))
+    return min(1.0, float(s * math.exp(-s) * _k1e(np.array([s]))[0]))
 
 
 def kbar_asymptotic(x: float) -> float:

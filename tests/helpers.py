@@ -17,13 +17,14 @@ law and export_points_csv writes such a cloud. product_tail is the
 nested-quadrature tail of a product of exponentials that the Gil-Pelaez
 radial CDF in kcirculant.limits is checked against; quad_smooth is the
 adaptive quadrature under it. The modified Bessel function K1 here is a
-from-scratch series/asymptotic implementation,
-deliberately sharing nothing with the scipy K1 that kcirculant.extremes.kbar
-evaluates. Worst-case relative error is below 1e-8 on (0, 40] (largest at the
-z = 8 crossover), verified against frozen high-precision reference values in
-test_extremes. reference_oracle_sweep solves the oracle sweep one sample at a
-time; the stacked kcirculant.montecarlo.oracle_sweep must reproduce its report
-byte for byte.
+from-scratch series/asymptotic implementation, deliberately sharing nothing
+with the trapezoidal-rule K1 (kcirculant.limits._k1e) that
+kcirculant.extremes.kbar and the g = 2 radial CDF evaluate. Worst-case
+relative error is below 1e-8 on (0, 40] (largest at the z = 8 crossover),
+verified against frozen high-precision reference values in test_extremes.
+reference_oracle_sweep solves the oracle sweep one sample at a time; the
+stacked kcirculant.montecarlo.oracle_sweep must reproduce its report byte
+for byte.
 """
 
 from __future__ import annotations

@@ -521,20 +521,12 @@ class TestScipyLoadedOnDemand:
         ["spectrum", "--k", "2", "--n", "9"],
         ["gumbel", "--kk", "4", "--trials", "8"],
         ["verify", "--nmax", "3", "--samples", "1"],
+        ["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--trials", "2"],
+        ["tail", "--x", "1"],
+        ["lsd", "--theorem", "3", "--k", "2", "--n", "9", "--g", "3", "--trials", "1"],
     ])
     def test_command_loads_no_scipy(self, argv):
         assert _scipy_modules_after(*argv) == []
-
-    def test_lsd_loads_special_but_not_optimize(self):
-        loaded = _scipy_modules_after("lsd", "--theorem", "3", "--k", "3", "--n", "10",
-                                      "--trials", "2")
-        assert "scipy.special" in loaded
-        assert "scipy.optimize" not in loaded
-
-    def test_tail_loads_special_but_not_optimize(self):
-        loaded = _scipy_modules_after("tail", "--x", "1")
-        assert "scipy.special" in loaded
-        assert "scipy.optimize" not in loaded
 
 
 class TestPackageSurface:

@@ -95,11 +95,15 @@ class TestKbar:
 
     def test_frozen_bessel_values(self):
         # kbar(x) = z K1(z) at z = 2 sqrt(x), against the frozen references
-        # and the in-suite series, which shares no code with scipy's K1
+        # and the in-suite series, which shares no code with the library's K1
         for z, ref in K1_REFERENCE.items():
             x = z * z / 4.0
             assert kbar(x) == pytest.approx(z * ref, rel=1e-13)
             assert kbar(x) == pytest.approx(kbar_closed_form(x), rel=2e-8)
+
+    def test_at_most_one_near_zero(self):
+        # s K_1(s) -> 1 as s -> 0, and rounding put it up to 3 ulp above
+        assert max(kbar(float(x)) for x in np.geomspace(5e-324, 1e-6, 400)) == 1.0
 
     def test_far_tail_is_exactly_zero(self):
         assert kbar(746.0**2 / 4.0) == 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,23 @@ from kcirculant.limits import (
     ks_one_sample,
     ks_radial,
     ks_two_sample,
+    _gamma_q,
+    _k1e,
+    _log_gamma_1_plus_it,
     _radial_cdf,
 )
 from kcirculant.spectral import formula_spectrum
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+# frozen 20-digit mpmath values of log Gamma(1 + it), real and imaginary parts
+LOG_GAMMA_REFERENCE = {
+    1e-4: (-8.2246703071830522974e-9, -5.7721566089467656514e-5),
+    0.01: (-8.2243997703871674433e-5, -5.77175598411805691e-3),
+    0.3: (-0.071946250899638399018, -0.16282067216785568217),
+    1.0: (-0.65092319930185633889, -0.30164032046753319789),
+    3.0: (-3.2441442995897561916, 1.0533507710686132003),
+}
 
 
 def law3(g=2):
@@ -146,6 +159,38 @@ class TestRadialCdf:
         assert _radial_cdf(2, np.array([0.0]))[0] == 0.0
         assert _radial_cdf(2, np.array([50.0]))[0] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_zero_and_infinite_radius(self, g):
+        # warnings are errors here: the bound Q at y = inf must not read 0 * inf
+        assert _radial_cdf(g, np.array([0.0, np.inf])).tolist() == [0.0, 1.0]
+
+    def test_g2_matches_scipy_bessel(self):
+        from scipy.special import k1
+        radii = np.geomspace(1e-6, 6.0, 2000)  # past both ends of the live range
+        z = 2.0 * radii**2
+        assert np.abs(_radial_cdf(2, radii) - (1.0 - z * k1(z))).max() <= 1e-15
+
+    def test_g2_value_does_not_depend_on_the_other_radii(self):
+        # z = 2 r^2 from 2e-8 to 72: both K_1 step rules, 2 to 14 runs of nodes
+        rng = np.random.default_rng(31)
+        radii = np.concatenate([np.geomspace(1e-4, 6.0, 700), rng.random(300) * 3.0])
+        alone = [_radial_cdf(2, np.array([r]))[0] for r in radii]
+        assert _radial_cdf(2, radii).tolist() == alone
+        assert _radial_cdf(2, radii[::-1]).tolist() == alone[::-1]
+
+    def test_g2_temporaries_do_not_grow_with_the_radii(self):
+        radii = np.geomspace(1e-3, 6.0, 200_000)
+        _radial_cdf(2, radii[:100])
+        tracemalloc.start()
+        try:
+            _radial_cdf(2, radii)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~120 bytes a radius, nearly all of it 1-D arrays; the K_1 sums over
+        # all 200,000 radii at once, not in blocks, took ~220
+        assert peak / radii.size <= 160
+
     def test_monotone(self):
         xs = np.linspace(0.0, 3.0, 40)
         vals = _radial_cdf(2, xs)
@@ -155,6 +200,38 @@ class TestRadialCdf:
         sample = EsdSample(points=np.ones(4, dtype=complex), n=4)
         with pytest.raises(ValueError):
             ks_radial(sample, LsdLaw.degenerate_circle())
+
+
+class TestSpecialFunctions:
+    """The numpy special functions against scipy.special as an oracle."""
+
+    def test_k1e_matches_scipy(self):
+        from scipy.special import k1e
+        z = np.geomspace(1e-9, 745.0, 3001)
+        assert np.abs(_k1e(z) / k1e(z) - 1.0).max() <= 1e-13
+
+    @pytest.mark.parametrize("g", range(1, 25))
+    def test_gamma_q_matches_scipy(self, g):
+        from scipy.special import gammaincc
+        y = np.concatenate([[0.0], np.geomspace(1e-12, 100.0, 1000)])
+        # gammaincc drifts from a 30-digit value by up to y/3 ulp; Q stays within 1
+        rel = np.abs(_gamma_q(g, y) / gammaincc(g, y) - 1.0)
+        assert np.all(rel <= 1e-15 * (1.0 + y))
+        assert _gamma_q(g, np.array([np.inf]))[0] == 0.0
+
+    def test_log_gamma_matches_scipy(self):
+        from scipy.special import loggamma
+        t = np.geomspace(1e-6, 100.0, 5001)
+        # the imaginary part reaches 360 at t = 100, where 4 ulp is 2.3e-13
+        assert np.abs(_log_gamma_1_plus_it(t) - loggamma(1 + 1j * t)).max() <= 2.3e-13
+
+    def test_log_gamma_frozen_values(self):
+        # g times an error in the real part moves the CDF; Stirling's series
+        # there is 1.4e-15 to 4.6e-15 off at these t, and scipy up to 4e-15
+        for t, (re, im) in LOG_GAMMA_REFERENCE.items():
+            value = _log_gamma_1_plus_it(np.array([t]))[0]
+            assert abs(value.real - re) <= 2e-16, t
+            assert abs(value.imag - im) <= 4e-16, t
 
 
 class TestLsdSample:
