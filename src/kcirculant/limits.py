@@ -1,8 +1,11 @@
-"""Limiting spectral laws, ESD extraction, and empirical-vs-limit distances.
+"""ESD extraction and the distances of an ESD to its limit laws.
 
-Three candidate limit laws for the scaled eigenvalue cloud: a product-radius
-law with angles on the 2g-th roots of unity, the same radius with a uniform
-angle, and a circle of fixed radius exp(-gamma/2). The product radius is
+The statistics take the ESD as a 1-D complex array plus the one number the
+law needs. The limits of the scaled eigenvalue cloud are a product-radius
+law with angles on the 2g-th roots of unity (ks_radial and grid_deviation
+take g), the same radius with a uniform angle (ks_radial and
+uniform_angle_ks), and a circle of fixed radius r, by default exp(-gamma/2)
+(band_mass takes r and a half-width). The product radius is
 (E_1 * ... * E_g)^(1/2g) for unit exponentials E_j. Its CDF at r is F(x) =
 P(X <= x) at x = 2g log r, where X = log(E_1 * ... * E_g) has characteristic
 function phi(t) = Gamma(1+it)^g, so one Gil-Pelaez sum serves all radii:
@@ -22,29 +25,23 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
     "DEGENERATE_RADIUS",
-    "LsdLaw",
-    "EsdSample",
     "esd",
     "ks_one_sample",
     "ks_two_sample",
     "ks_radial",
-    "angular_test",
+    "grid_deviation",
+    "uniform_angle_ks",
     "band_mass",
 ]
 
 EULER_GAMMA = 0.57721566490153286061
 DEGENERATE_RADIUS = math.exp(-EULER_GAMMA / 2.0)  # 0.74930600...
-
-_ROOTS = "roots_of_unity_product"
-_UNIFORM = "uniform_circle_product"
-_DEGENERATE = "degenerate_circle"
 
 _NEGLIGIBLE = 1e-16  # a CDF or tail bound below this reads as exact 0 or 1
 _K1_CUT = 42.0  # K_1 needs the nodes until z (cosh u - 1) reaches this: exp(-42) < 1e-18
@@ -52,60 +49,6 @@ _K1_ROWS = 4096  # z per block of the K_1 sums
 # B_2k / (2k (2k - 1)), k = 1..8: Stirling's series for log Gamma
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
              -3617 / 122400)
-
-
-@dataclass(frozen=True)
-class LsdLaw:
-    """One of the three limit laws for the scaled eigenvalue cloud."""
-
-    variant: str
-    g: int | None = None
-    radius: float | None = None
-
-    def __post_init__(self):
-        if self.variant in (_ROOTS, _UNIFORM):
-            if self.g is None or self.g < 1:
-                raise ValueError("product laws need an integer g >= 1")
-        elif self.variant == _DEGENERATE:
-            if self.radius is None or self.radius <= 0:
-                raise ValueError("degenerate-circle law needs a radius > 0")
-        else:
-            raise ValueError(f"unknown law variant {self.variant!r}")
-
-    @classmethod
-    def roots_of_unity_product(cls, g: int) -> "LsdLaw":
-        """Radius (prod of g exponentials)^(1/2g), angle uniform on the 2g-th roots of unity."""
-        return cls(_ROOTS, g=int(g))
-
-    @classmethod
-    def uniform_circle_product(cls, g: int) -> "LsdLaw":
-        """Same radius, angle uniform on the whole circle."""
-        return cls(_UNIFORM, g=int(g))
-
-    @classmethod
-    def degenerate_circle(cls, radius: float | None = None) -> "LsdLaw":
-        """Fixed radius (default exp(-gamma/2)), angle uniform on the circle."""
-        return cls(_DEGENERATE, radius=DEGENERATE_RADIUS if radius is None else float(radius))
-
-    @property
-    def is_product(self) -> bool:
-        return self.variant in (_ROOTS, _UNIFORM)
-
-
-@dataclass
-class EsdSample:
-    """Eigenvalues of the 1/sqrt(n)-scaled matrix as a point cloud.
-
-    structural_zeros_in_points counts leading exact-zero points that are
-    structural (not data); radial statistics skip exactly those.
-    """
-
-    points: np.ndarray
-    n: int
-    structural_zeros_in_points: int = 0
-
-    def nonstructural_points(self) -> np.ndarray:
-        return self.points[self.structural_zeros_in_points :]
 
 
 def _radial_cdf(g: int, radii: np.ndarray) -> np.ndarray:
@@ -223,25 +166,24 @@ def _log_gamma_1_plus_it(t: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(math.pi * t / np.sinh(math.pi * t)) + 1j * arg
 
 
-def esd(spectrum) -> EsdSample:
-    """Scale a spectrum by 1/sqrt(n) into an ESD point cloud.
+def esd(spectrum) -> np.ndarray:
+    """The ESD point cloud: the eigenvalues scaled by 1/sqrt(n), less the
+    structural zeros, which the limit laws put no mass on."""
+    return spectrum.eigenvalues[..., spectrum.zero_multiplicity:] / math.sqrt(spectrum.params.n)
 
-    Structural zeros are part of the distribution, so they stay in the points.
-    """
-    n = spectrum.params.n
-    return EsdSample(points=spectrum.eigenvalues / math.sqrt(n), n=n,
-                     structural_zeros_in_points=spectrum.zero_multiplicity)
+
+def _ks(f: np.ndarray) -> float:
+    """Two-sided KS distance of a sorted sample to the CDF values f at its points."""
+    steps = np.arange(f.size + 1) / f.size
+    return float(max((steps[1:] - f).max(), (f - steps[:-1]).max()))
 
 
 def ks_one_sample(values, cdf) -> float:
     """Exact two-sided Kolmogorov-Smirnov distance to a CDF callable."""
     x = np.sort(np.asarray(values, dtype=float))
-    m = x.size
-    if m == 0:
+    if x.size == 0:
         raise ValueError("empty sample")
-    f = np.asarray(cdf(x), dtype=float)
-    steps = np.arange(m + 1) / m
-    return float(max((steps[1:] - f).max(), (f - steps[:-1]).max()))
+    return _ks(np.asarray(cdf(x), dtype=float))
 
 
 def ks_two_sample(a, b) -> float:
@@ -256,52 +198,42 @@ def ks_two_sample(a, b) -> float:
     return float(np.abs(cdf_x - cdf_y).max())
 
 
-def ks_radial(sample: EsdSample, law: LsdLaw) -> float:
-    """KS distance between the sample's radial empirical law and the limit CDF.
-
-    Structural zeros are skipped (the product laws put no mass at 0); genuine
-    zero-valued points in a hand-built sample are kept.
-    """
-    if not law.is_product:
-        raise ValueError("radial KS applies to the product laws")
-    radii = np.sort(np.abs(sample.nonstructural_points()))
+def ks_radial(points: np.ndarray, g: int) -> float:
+    """KS distance of the moduli of points to the product radius law of g."""
+    radii = np.sort(np.abs(points))
     if radii.size == 0:
         raise ValueError("empty sample")
     new = np.concatenate([[True], radii[1:] != radii[:-1]])  # first of each run of ties
-    f = _radial_cdf(law.g, radii[new])[np.cumsum(new) - 1]
-    steps = np.arange(f.size + 1) / f.size
-    return float(max((steps[1:] - f).max(), (f - steps[:-1]).max()))
+    return _ks(_radial_cdf(g, radii[new])[np.cumsum(new) - 1])
 
 
-def angular_test(sample: EsdSample, law: LsdLaw) -> dict:
-    """Angular statistics of the nonzero points against the law's angle part.
-
-    Roots-of-unity laws: the largest deviation of any argument from the grid
-    {pi*j/g} plus per-direction counts. Uniform-angle laws: KS distance of
-    arg/(2*pi) mod 1 to the uniform law.
-    """
-    pts = sample.nonstructural_points()
-    pts = pts[np.abs(pts) > 0]
-    if pts.size == 0:
+def _nonzero_angles(points: np.ndarray) -> np.ndarray:
+    points = points[np.abs(points) > 0]
+    if points.size == 0:
         raise ValueError("no nonzero points")
-    args = np.angle(pts)
-    if law.variant == _ROOTS:
-        spacing = math.pi / law.g
-        nearest = np.rint(args / spacing)
-        deviation = np.abs(args - spacing * nearest)
-        counts = np.bincount(nearest.astype(int) % (2 * law.g), minlength=2 * law.g)
-        return {"max_grid_deviation": float(deviation.max()),
-                "per_direction_counts": counts.tolist()}
-    u = np.mod(args / (2.0 * math.pi), 1.0)
-    return {"uniform_ks": ks_one_sample(u, lambda t: np.clip(t, 0.0, 1.0))}
+    return np.angle(points)
 
 
-def band_mass(sample: EsdSample, r: float, epsilon: float) -> float:
-    """Fraction of points (structural zeros excluded) with r-eps < |z| < r+eps."""
+def grid_deviation(points: np.ndarray, g: int) -> float:
+    """Largest distance of a nonzero point's argument from the grid {pi*j/g}."""
+    args = _nonzero_angles(points)
+    spacing = math.pi / g
+    return float(np.abs(args - spacing * np.rint(args / spacing)).max())
+
+
+def uniform_angle_ks(points: np.ndarray) -> float:
+    """KS distance of the nonzero points' arg/(2*pi) mod 1 to the uniform law."""
+    u = np.mod(_nonzero_angles(points) / (2.0 * math.pi), 1.0)
+    return ks_one_sample(u, lambda t: np.clip(t, 0.0, 1.0))
+
+
+def band_mass(points: np.ndarray, r: float, epsilon: float) -> float:
+    """Fraction of points with r-eps < |z| < r+eps."""
+    if r <= 0:
+        raise ValueError("degenerate-circle law needs a radius > 0")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    pts = sample.nonstructural_points()
-    if pts.size == 0:
+    if points.size == 0:
         return 0.0
-    radii = np.abs(pts)
+    radii = np.abs(points)
     return float(np.mean((radii > r - epsilon) & (radii < r + epsilon)))

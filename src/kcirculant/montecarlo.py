@@ -88,6 +88,9 @@ class ExperimentConfig:
             raise ValueError(f"need n >= 2 and k >= 1, got n={self.n}, k={self.k}")
         if self.n > DFT_EXPERIMENT_CAP:
             raise ValueError(f"n = {self.n} exceeds the experiment cap of {DFT_EXPERIMENT_CAP}")
+        if self.k >= self.n:  # k mod n, not k: k may run to thousands of digits
+            raise ValueError(f"need k < n, got n={self.n}, k mod n={self.k % self.n}; "
+                             "k and k mod n give the same matrix")
 
     def echo(self) -> dict:
         return {"kind": self.kind, "k": self.k, "n": self.n, "g": self.g,
@@ -199,10 +202,6 @@ def _square_plus_one(config: ExperimentConfig) -> dict:
             "four_blocks": int(np.count_nonzero(partition.sizes == 4))}
 
 
-def _esd(a, k: int, n: int) -> limits.EsdSample:
-    return limits.esd(spectral.formula_spectrum(a, k, n))
-
-
 def _gumbel_fit(trials: list[dict], config: ExperimentConfig, hypothesis: dict) -> dict:
     """KS of the standardized radii against the Gumbel CDF and an i.i.d. reference."""
     if config.trials < 2:
@@ -223,44 +222,45 @@ class ExperimentKind:
     theorem: int
     command: str  # the kcirc subcommand that runs the kind
     hypothesis: Callable[[ExperimentConfig], dict]
-    observe: Callable  # (a, k, n) -> what the statistics read
-    law: Callable[[dict, dict], object]  # (hypothesis, tolerances), built once a run
+    law: Callable[[dict, dict], object]  # (hypothesis, tolerances) -> g, r or norm, once a run
     statistics: tuple[tuple[str, Callable], ...]  # (key, fn(observed, law, tolerances))
     summarised: tuple[str, ...]  # statistics aggregated as mean, max and min
     pass_rule: tuple[tuple[str, Callable[[float, float], bool], str], ...]
     tolerances: dict[str, tuple[float, str]]  # key -> (default, flag that sets it)
     takes_g: bool = False
     run_statistics: Callable[[list, ExperimentConfig, dict], dict] = lambda *_: {}
+    # (a, k, n) -> what the statistics read; by default the ESD of the spectrum
+    observe: Callable = lambda a, k, n: limits.esd(spectral.formula_spectrum(a, k, n))
 
 
-_RADIAL_KS = ("radial_ks", lambda sample, law, tol: limits.ks_radial(sample, law))
+_RADIAL_KS = ("radial_ks", lambda points, g, tol: limits.ks_radial(points, g))
 
 KINDS = {  # in the order the lsd and gumbel commands list their tolerance flags
     KIND_LSD3: ExperimentKind(
-        theorem=3, command="lsd", hypothesis=_congruence(-1), takes_g=True, observe=_esd,
-        law=lambda hyp, tol: limits.LsdLaw.roots_of_unity_product(hyp["g"]),
-        statistics=(_RADIAL_KS, ("angular_grid_dev", lambda sample, law, tol:
-                                 limits.angular_test(sample, law)["max_grid_deviation"])),
+        theorem=3, command="lsd", hypothesis=_congruence(-1), takes_g=True,
+        law=lambda hyp, tol: hyp["g"],
+        statistics=(_RADIAL_KS, ("angular_grid_dev", lambda points, g, tol:
+                                 limits.grid_deviation(points, g))),
         summarised=("radial_ks", "angular_grid_dev"),
         pass_rule=(("radial_ks_mean", operator.lt, "radial_ks_mean"),
                    ("angular_grid_dev_max", operator.lt, "angular_grid_dev")),
         tolerances={"radial_ks_mean": (0.05, "--tol-radial"),
                     "angular_grid_dev": (1e-9, "--tol-angular")}),
     KIND_LSD4: ExperimentKind(
-        theorem=4, command="lsd", hypothesis=_congruence(+1), takes_g=True, observe=_esd,
-        law=lambda hyp, tol: limits.LsdLaw.uniform_circle_product(hyp["g"]),
-        statistics=(_RADIAL_KS, ("angular_ks", lambda sample, law, tol:
-                                 limits.angular_test(sample, law)["uniform_ks"])),
+        theorem=4, command="lsd", hypothesis=_congruence(+1), takes_g=True,
+        law=lambda hyp, tol: hyp["g"],
+        statistics=(_RADIAL_KS, ("angular_ks", lambda points, g, tol:
+                                 limits.uniform_angle_ks(points))),
         summarised=("radial_ks", "angular_ks"),
         pass_rule=(("radial_ks_mean", operator.lt, "radial_ks_mean"),
                    ("angular_ks_mean", operator.lt, "angular_ks_mean")),
         tolerances={"radial_ks_mean": (0.06, "--tol-radial"),
                     "angular_ks_mean": (0.06, "--tol-angular")}),
     KIND_LSD2: ExperimentKind(
-        theorem=2, command="lsd", hypothesis=_degenerate_circle, observe=_esd,
-        law=lambda hyp, tol: limits.LsdLaw.degenerate_circle(tol["radius"]),
-        statistics=(("band_mass", lambda sample, law, tol:
-                     limits.band_mass(sample, tol["radius"], tol["epsilon"])),),
+        theorem=2, command="lsd", hypothesis=_degenerate_circle,
+        law=lambda hyp, tol: tol["radius"],
+        statistics=(("band_mass", lambda points, r, tol:
+                     limits.band_mass(points, r, tol["epsilon"])),),
         summarised=("band_mass",),
         pass_rule=(("band_mass_min", operator.ge, "band_mass_min"),),
         tolerances={"band_mass_min": (0.9, "--tol-band"),

@@ -44,7 +44,7 @@ import scipy.integrate
 from kcirculant import spectral
 from kcirculant._textio import write_text
 from kcirculant.extremes import normalization, standardize_radius
-from kcirculant.limits import _ROOTS, LsdLaw, _radial_cdf
+from kcirculant.limits import DEGENERATE_RADIUS, _radial_cdf
 from kcirculant.montecarlo import ExperimentReport
 from kcirculant.numtheory import (
     EigenPartition,
@@ -257,11 +257,10 @@ def reference_formula_spectrum(a, k: int, n: int):
     return eigs, lam, block_index, root_index
 
 
-def reference_ks_radial(sample, law: LsdLaw) -> float:
+def reference_ks_radial(points: np.ndarray, g: int) -> float:
     """ks_radial with the distinct radii and their inverse from np.unique."""
-    uniq, inverse = np.unique(np.sort(np.abs(sample.nonstructural_points())),
-                              return_inverse=True)
-    f = _radial_cdf(law.g, uniq)[inverse]
+    uniq, inverse = np.unique(np.sort(np.abs(points)), return_inverse=True)
+    f = _radial_cdf(g, uniq)[inverse]
     steps = np.arange(f.size + 1) / f.size
     return float(max((steps[1:] - f).max(), (f - steps[:-1]).max()))
 
@@ -344,19 +343,23 @@ def det_probe_oracle(a, k: int, n: int, trial_points) -> list[DetProbe]:
     return out
 
 
-def lsd_sample(law: LsdLaw, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw count i.i.d. points from the law; radius and angle independent."""
+def lsd_sample(g: int | None, count: int, rng: np.random.Generator, *,
+               roots: bool = False) -> np.ndarray:
+    """Draw count i.i.d. points of a limit law; radius and angle independent.
+
+    The radius is (E_1 * ... * E_g)^(1/2g), or DEGENERATE_RADIUS when g is
+    None; the angle is uniform on the 2g-th roots of unity when roots is set,
+    and on the whole circle otherwise.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if law.is_product:
-        g = law.g
-        radius = rng.exponential(1.0, size=(count, g)).prod(axis=1) ** (1.0 / (2 * g))
-        if law.variant == _ROOTS:
-            angles = (math.pi / g) * rng.integers(0, 2 * g, size=count)
-        else:
-            angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    if g is None:
+        radius = np.full(count, DEGENERATE_RADIUS)
     else:
-        radius = np.full(count, law.radius)
+        radius = rng.exponential(1.0, size=(count, g)).prod(axis=1) ** (1.0 / (2 * g))
+    if roots:
+        angles = (math.pi / g) * rng.integers(0, 2 * g, size=count)
+    else:
         angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
     return radius * np.exp(1j * angles)
 

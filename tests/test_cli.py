@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import sys
 
@@ -273,14 +274,27 @@ class TestLsd:
 
     @pytest.mark.parametrize("theorem", ["2", "3", "4"])
     @pytest.mark.parametrize("k, n", [("3", "-10"), ("3", "0"), ("3", "1"), ("3", "200001"),
-                                      ("0", "101"), ("-3", "101")])
+                                      ("0", "101"), ("-3", "101"), ("101", "101"),
+                                      # k = 10 (mod 101): k^2 = -1, and k^2 overflows a float
+                                      pytest.param(str(10 + 101 * 10**200), "101", id="huge-101")])
     def test_k_and_n_out_of_range_name_the_bound(self, theorem, k, n, capsys):
         # one range check for every kind, ahead of its congruence or gcd test
         assert main(["lsd", "--theorem", theorem, "--k", k, "--n", n]) == 2
         err = capsys.readouterr().err
         bound = ("n = 200001 exceeds the experiment cap" if n == "200001"
+                 else f"need k < n, got n={n}, k mod n={int(k) % int(n)}" if int(k) >= int(n) >= 2
                  else f"need n >= 2 and k >= 1, got n={n}, k={k}")
         assert err.startswith(f"error: {bound}")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--radius", "0"], "degenerate-circle law needs a radius > 0"),
+        (["--radius", "-1"], "degenerate-circle law needs a radius > 0"),
+        (["--epsilon", "-1"], "epsilon must be nonnegative"),
+        (["--radius", "0", "--epsilon", "-1"], "degenerate-circle law needs a radius > 0"),
+    ])
+    def test_bad_band_is_usage_error(self, flags, message, capsys):
+        assert main(["lsd", "--theorem", "2", "--k", "2", "--n", "729", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_theorem_4_accepts_n2(self, tmp_path):
         # 1 = 1 + 0 * 2, as theorem 3 reads 1 = -1 + 1 * 2
@@ -314,6 +328,32 @@ class TestGumbel:
         err = capsys.readouterr().err
         assert "--kk must be between 3 and 447" in err
         assert err.endswith(f"got {kk}\n")
+
+
+class TestReportDigests:
+    """sha256 of the --out report of small lsd and gumbel runs. A change that
+    alters report bytes must edit this table and say so."""
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["lsd", "--theorem", "2", "--k", "2", "--n", "6561", "--trials", "2",
+          "--radius", "0.75", "--epsilon", "0.06"], 0,
+         "05bf2a6ee78c9941a619fa2ae496ba49c956fa4852a266ba1ddeacae7b3645c4"),
+        (["lsd", "--theorem", "3", "--k", "100", "--n", "10001", "--trials", "2"], 0,
+         "d5a1ec33416f78879b38cbb818247e5dc1ece8ef7d7d7d534b1ecde6c0f68881"),
+        (["lsd", "--theorem", "3", "--k", "5", "--n", "126", "--trials", "2"], 1,  # g = 3
+         "61b142905b0ddce9f9e579e4e8a9e89592f03b5952bdaa1424e717393387e370"),
+        (["lsd", "--theorem", "4", "--k", "100", "--n", "9999", "--trials", "2",
+          "--law", "exp"], 0,
+         "07f1c5a603bf91efec5674ef10f1937202ab46addf83b629bb1e7b9b616eb49a"),
+        (["lsd", "--theorem", "4", "--k", "11", "--n", "665", "--trials", "1"], 0,  # g = 3
+         "c0d218f5858a68bc377215df64c1057d1dd4faf6abd00dde22aa0987c3e84020"),
+        (["gumbel", "--kk", "20", "--trials", "50"], 1,
+         "f88bd2a8ea82b71f5e3fc58085c049e6f362e6ba0e381544871e6fe1435dc1dd"),
+    ], ids=["lsd2", "lsd3", "lsd3_g3", "lsd4_exp", "lsd4_g3", "gumbel"])
+    def test_report_bytes(self, argv, code, digest, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main([*argv, "--out", str(path)]) == code
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestVerify:
@@ -371,7 +411,8 @@ class TestOneOrbitWalkPerCommand:
         ["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--trials", "2"],
         ["gumbel", "--kk", "4", "--trials", "8"],
         ["partition", "--k", "3", "--n", "10"],
-        ["lsd", "--theorem", "3", "--k", "13", "--n", "10", "--trials", "2"],
+        # k = 13 walks the orbits of k mod n = 3 (lsd refuses k >= n outright)
+        ["spectrum", "--k", "13", "--n", "10", "--trials", "2"],
     ])
     def test_command_walks_orbits_once(self, argv, monkeypatch, capsys):
         original = numtheory.eigen_partition

@@ -14,14 +14,13 @@ from helpers import (
 )
 from kcirculant.limits import (
     DEGENERATE_RADIUS,
-    LsdLaw,
-    EsdSample,
-    angular_test,
     band_mass,
     esd,
+    grid_deviation,
     ks_one_sample,
     ks_radial,
     ks_two_sample,
+    uniform_angle_ks,
     _gamma_q,
     _k1e,
     _log_gamma_1_plus_it,
@@ -39,14 +38,6 @@ LOG_GAMMA_REFERENCE = {
     1.0: (-0.65092319930185633889, -0.30164032046753319789),
     3.0: (-3.2441442995897561916, 1.0533507710686132003),
 }
-
-
-def law3(g=2):
-    return LsdLaw.roots_of_unity_product(g)
-
-
-def law4(g=2):
-    return LsdLaw.uniform_circle_product(g)
 
 
 def tail(g, ys):
@@ -196,11 +187,6 @@ class TestRadialCdf:
         vals = _radial_cdf(2, xs)
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
-    def test_degenerate_rejected(self):
-        sample = EsdSample(points=np.ones(4, dtype=complex), n=4)
-        with pytest.raises(ValueError):
-            ks_radial(sample, LsdLaw.degenerate_circle())
-
 
 class TestSpecialFunctions:
     """The numpy special functions against scipy.special as an oracle."""
@@ -237,7 +223,7 @@ class TestSpecialFunctions:
 class TestLsdSample:
     def test_roots_angles_on_grid(self):
         rng = np.random.default_rng(0)
-        pts = lsd_sample(law3(2), 5000, rng)
+        pts = lsd_sample(2, 5000, rng, roots=True)
         args = np.angle(pts)
         dev = np.abs(args - (math.pi / 2) * np.rint(args / (math.pi / 2)))
         assert dev.max() < 1e-12
@@ -245,14 +231,14 @@ class TestLsdSample:
     def test_symmetrized_square_root_exponential(self):
         # g = 1 roots-of-unity law: angles 0 or pi only, |z|^2 exponential
         rng = np.random.default_rng(1)
-        pts = lsd_sample(law3(1), 20000, rng)
+        pts = lsd_sample(1, 20000, rng, roots=True)
         assert set(np.round(np.angle(pts) / math.pi, 6)) <= {0.0, 1.0, -1.0}
         d = ks_one_sample(np.abs(pts) ** 2, lambda t: 1 - np.exp(-t))
         assert d < 0.02
 
     def test_uniform_circle_radius_squared_exponential(self):
         rng = np.random.default_rng(2)
-        pts = lsd_sample(law4(1), 20000, rng)
+        pts = lsd_sample(1, 20000, rng)
         d = ks_one_sample(np.abs(pts) ** 2, lambda t: 1 - np.exp(-t))
         assert d < 0.02
         u = np.mod(np.angle(pts) / (2 * math.pi), 1.0)
@@ -260,18 +246,18 @@ class TestLsdSample:
 
     def test_degenerate_radius_exact(self):
         rng = np.random.default_rng(3)
-        pts = lsd_sample(LsdLaw.degenerate_circle(), 1000, rng)
+        pts = lsd_sample(None, 1000, rng)
         assert np.allclose(np.abs(pts), DEGENERATE_RADIUS, atol=1e-14)
 
     def test_radius_angle_independence(self):
         rng = np.random.default_rng(4)
-        pts = lsd_sample(law4(2), 10**5, rng)
+        pts = lsd_sample(2, 10**5, rng)
         corr = np.corrcoef(np.abs(pts), np.angle(pts))[0, 1]
         assert abs(corr) < 0.01
 
     def test_rotation_invariance_roots_law(self):
         rng = np.random.default_rng(5)
-        pts = lsd_sample(law3(2), 10**5, rng)
+        pts = lsd_sample(2, 10**5, rng, roots=True)
         rotated = pts * np.exp(1j * math.pi / 2)
         assert ks_two_sample(np.abs(pts), np.abs(rotated)) < 1e-12
 
@@ -288,28 +274,29 @@ class TestLsdSample:
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            lsd_sample(law3(2), 0, np.random.default_rng(0))
+            lsd_sample(2, 0, np.random.default_rng(0), roots=True)
 
 
 class TestEsd:
     def test_delta_input_all_half(self):
         a = np.zeros(4)
         a[0] = 1.0
-        sample = esd(formula_spectrum(a, 1, 4))
-        assert np.allclose(sample.points, 0.5)
+        assert np.allclose(esd(formula_spectrum(a, 1, 4)), 0.5)
 
     def test_zero_exclusion_flag(self):
+        # n' = 3 at (k, n) = (2, 6): esd drops exactly the n - n' leading zeros
         rng = np.random.default_rng(6)
         spectrum = formula_spectrum(rng.standard_normal(6), 2, 6)
-        included = esd(spectrum)
-        assert included.points.size == 6
-        assert included.structural_zeros_in_points == 3
+        assert spectrum.zero_multiplicity == 3
+        assert np.all(spectrum.eigenvalues[:3] == 0)
+        points = esd(spectrum)
+        assert np.array_equal(points, spectrum.eigenvalues[3:] / math.sqrt(6))
+        assert np.all(points != 0)
 
     def test_angles_on_quarter_grid_k10_n101(self):
         rng = np.random.default_rng(7)
         spectrum = formula_spectrum(rng.standard_normal(101), 10, 101)
-        sample = esd(spectrum)
-        args = np.angle(sample.points)
+        args = np.angle(esd(spectrum))
         dev = np.abs(args - (math.pi / 2) * np.rint(args / (math.pi / 2)))
         assert dev.max() < 1e-9
 
@@ -328,37 +315,32 @@ class TestKs:
 
     def test_radial_self_sample(self):
         rng = np.random.default_rng(8)
-        pts = lsd_sample(law3(2), 10**4, rng)
-        sample = EsdSample(points=pts, n=10**4)
-        assert ks_radial(sample, law3(2)) < 0.02
+        assert ks_radial(lsd_sample(2, 10**4, rng, roots=True), 2) < 0.02
 
     def test_radial_all_zeros_against_g1(self):
-        sample = EsdSample(points=np.zeros(50, dtype=complex), n=50)
-        assert ks_radial(sample, law4(1)) == pytest.approx(1.0)
+        assert ks_radial(np.zeros(50, dtype=complex), 1) == pytest.approx(1.0)
 
     def test_radial_on_small_spectrum(self):
         rng = np.random.default_rng(24)  # seed picked so the 25-block cloud is typical
         spectrum = formula_spectrum(rng.standard_normal(101), 10, 101)
-        d = ks_radial(esd(spectrum), law3(2))
+        d = ks_radial(esd(spectrum), 2)
         assert d < 0.15
 
     def test_empty_raises(self):
-        sample = EsdSample(points=np.array([], dtype=complex), n=0)
         with pytest.raises(ValueError):
-            ks_radial(sample, law3(2))
+            ks_radial(np.array([], dtype=complex), 2)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     @pytest.mark.parametrize("points, structural", [
         ([1, -1, 1j, -1j, 0.5, -0.5j, 2, 2], 0),                 # exact ties
         ([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 1.0, 0.75j], 0),  # +-0
-        ([0.0, 0.0, complex(-0.0, 0.0), 0.3, 0.3, -0.3, 1.2], 2),  # zeros skipped, then +-0
+        ([0.0, 0.0, complex(-0.0, 0.0), 0.3, 0.3, -0.3, 1.2], 2),  # after 2 dropped: +-0
         ([0.9j], 0),                                               # a single point
         ([0.0], 0),
     ])
     def test_radial_equals_unique_form(self, g, points, structural):
-        sample = EsdSample(points=np.array(points, dtype=complex), n=len(points),
-                           structural_zeros_in_points=structural)
-        assert ks_radial(sample, law3(g)) == reference_ks_radial(sample, law3(g))
+        points = np.array(points, dtype=complex)[structural:]  # as esd drops them
+        assert ks_radial(points, g) == reference_ks_radial(points, g)
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300), levels=st.integers(1, 40))
@@ -366,58 +348,61 @@ class TestKs:
         rng = np.random.default_rng(seed)  # few radius levels: many exact ties
         radii = rng.integers(0, levels, size) / levels * 2.0
         points = radii * np.exp(2j * np.pi * rng.random(size))
-        sample = EsdSample(points=points, n=size)
-        assert ks_radial(sample, law4(2)) == reference_ks_radial(sample, law4(2))
+        assert ks_radial(points, 2) == reference_ks_radial(points, 2)
 
 
 class TestAngular:
     def test_grid_statistic_k10_n101(self):
         rng = np.random.default_rng(9)
         spectrum = formula_spectrum(rng.standard_normal(101), 10, 101)
-        out = angular_test(esd(spectrum), law3(2))
-        assert out["max_grid_deviation"] < 1e-9
-        assert len(out["per_direction_counts"]) == 4
-        assert sum(out["per_direction_counts"]) == 101
+        assert grid_deviation(esd(spectrum), 2) < 1e-9
 
     def test_uniform_self_sample(self):
         rng = np.random.default_rng(10)
-        pts = lsd_sample(law4(2), 10**4, rng)
-        out = angular_test(EsdSample(points=pts, n=10**4), law4(2))
-        assert out["uniform_ks"] < 0.02
+        assert uniform_angle_ks(lsd_sample(2, 10**4, rng)) < 0.02
 
     def test_point_mass_angle_fails_uniform(self):
         pts = np.full(1000, 1.0 + 0j)
-        out = angular_test(EsdSample(points=pts, n=1000), law4(2))
-        assert out["uniform_ks"] > 0.9
+        assert uniform_angle_ks(pts) > 0.9
 
     def test_empty_raises(self):
-        sample = EsdSample(points=np.zeros(3, dtype=complex), n=3)
-        with pytest.raises(ValueError):
-            angular_test(sample, law4(2))
+        for statistic in (lambda pts: grid_deviation(pts, 2), uniform_angle_ks):
+            with pytest.raises(ValueError, match="no nonzero points"):
+                statistic(np.zeros(3, dtype=complex))
 
 
 class TestBandMass:
     def test_degenerate_samples_all_in_band(self):
         rng = np.random.default_rng(11)
-        pts = lsd_sample(LsdLaw.degenerate_circle(), 500, rng)
-        sample = EsdSample(points=pts, n=500)
-        assert band_mass(sample, DEGENERATE_RADIUS, 0.01) == 1.0
+        pts = lsd_sample(None, 500, rng)
+        assert band_mass(pts, DEGENERATE_RADIUS, 0.01) == 1.0
 
     def test_zero_epsilon(self):
         rng = np.random.default_rng(12)
-        pts = lsd_sample(LsdLaw.degenerate_circle(), 100, rng)
-        assert band_mass(EsdSample(points=pts, n=100), DEGENERATE_RADIUS, 0.0) == 0.0
+        pts = lsd_sample(None, 100, rng)
+        assert band_mass(pts, DEGENERATE_RADIUS, 0.0) == 0.0
 
     def test_structural_zeros_skipped(self):
-        pts = np.concatenate([np.zeros(2, dtype=complex), np.full(8, 0.75 + 0j)])
-        sample = EsdSample(points=pts, n=10, structural_zeros_in_points=2)
-        assert band_mass(sample, 0.75, 0.05) == 1.0
+        # (k, n) = (2, 6) has 3 structural zeros; a band holding every nonzero
+        # radius holds all of the ESD, where the zeros would make it half
+        spectrum = formula_spectrum(np.random.default_rng(6).standard_normal(6), 2, 6)
+        radii = np.abs(esd(spectrum))
+        r, half = (radii.max() + radii.min()) / 2, (radii.max() - radii.min()) / 2 + 1e-9
+        assert band_mass(esd(spectrum), r, half) == 1.0
+
+    @pytest.mark.parametrize("r, epsilon, message", [
+        (0.0, 0.05, "radius > 0"), (-1.0, 0.05, "radius > 0"),
+        (0.75, -1.0, "epsilon must be nonnegative"), (0.0, -1.0, "radius > 0"),
+    ])
+    def test_bad_band_raises(self, r, epsilon, message):
+        with pytest.raises(ValueError, match=message):
+            band_mass(np.full(4, 0.75 + 0j), r, epsilon)
 
 
 class TestExportPoints:
     def test_csv_schema_and_determinism(self, tmp_path):
         rng = np.random.default_rng(13)
-        pts = lsd_sample(law3(2), 5, rng)
+        pts = lsd_sample(2, 5, rng, roots=True)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         export_points_csv(pts, ["law"] * 5, p1)
         export_points_csv(pts, ["law"] * 5, p2)
