@@ -11,7 +11,9 @@ Exit codes: 0 pass, 1 statistical failure, 2 usage or hypothesis error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import shutil
 import sys
 
 import numpy as np
@@ -337,15 +339,16 @@ SUBCOMMANDS = {
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The kcirc parser with every subcommand, or with command's alone; the latter
     names them all in its usage line, so its text is the full parser's byte for byte."""
+    fmt = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="kcirc",
+        prog="kcirc", formatter_class=fmt,
         description="Exact k-circulant spectra, their limit laws, and "
                     "spectral-radius extreme-value experiments.")
     names = None if command is None else "{" + ",".join(SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=names)
     for name, (func, options, flags) in SUBCOMMANDS.items():
         if command in (None, name):
-            p = sub.add_parser(name, **options)
+            p = sub.add_parser(name, formatter_class=fmt, **options)
             for flag, flag_options in flags:
                 p.add_argument(flag, **flag_options)
             p.set_defaults(func=func)

@@ -1,9 +1,9 @@
 """ESD extraction and the distances of an ESD to its limit laws.
 
-The statistics take the ESD as a 1-D complex array plus the one number the
-law needs. The limits of the scaled eigenvalue cloud are a product-radius
-law with angles on the 2g-th roots of unity (ks_radial and grid_deviation
-take g), the same radius with a uniform angle (ks_radial and
+The statistics take the ESD's moduli or its arguments (esd gives both) plus
+the one number the law needs. The limits of the scaled eigenvalue cloud are
+a product-radius law with angles on the 2g-th roots of unity (ks_radial and
+grid_deviation take g), the same radius with a uniform angle (ks_radial and
 uniform_angle_ks), and a circle of fixed radius r, by default exp(-gamma/2)
 (band_mass takes r and a half-width). The product radius is
 (E_1 * ... * E_g)^(1/2g) for unit exponentials E_j. Its CDF at r is F(x) =
@@ -166,10 +166,13 @@ def _log_gamma_1_plus_it(t: np.ndarray) -> np.ndarray:
     return 0.5 * np.log(math.pi * t / np.sinh(math.pi * t)) + 1j * arg
 
 
-def esd(spectrum) -> np.ndarray:
-    """The ESD point cloud: the eigenvalues scaled by 1/sqrt(n), less the
-    structural zeros, which the limit laws put no mass on."""
-    return spectrum.eigenvalues[..., spectrum.zero_multiplicity:] / math.sqrt(spectrum.params.n)
+def esd(moduli: np.ndarray, angles: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """formula_polar's moduli scaled by 1/sqrt(n), and the arguments of the nonzero
+    points. No structural zero is in it: the limit laws put no mass on them."""
+    nonzero = angles[moduli > 0]
+    if nonzero.size == 0:
+        raise ValueError("no nonzero points")
+    return moduli / math.sqrt(n), nonzero
 
 
 def _ks(f: np.ndarray) -> float:
@@ -198,42 +201,32 @@ def ks_two_sample(a, b) -> float:
     return float(np.abs(cdf_x - cdf_y).max())
 
 
-def ks_radial(points: np.ndarray, g: int) -> float:
-    """KS distance of the moduli of points to the product radius law of g."""
-    radii = np.sort(np.abs(points))
+def ks_radial(radii: np.ndarray, g: int) -> float:
+    """KS distance of the moduli radii to the product radius law of g."""
+    radii = np.sort(radii)
     if radii.size == 0:
         raise ValueError("empty sample")
     new = np.concatenate([[True], radii[1:] != radii[:-1]])  # first of each run of ties
     return _ks(_radial_cdf(g, radii[new])[np.cumsum(new) - 1])
 
 
-def _nonzero_angles(points: np.ndarray) -> np.ndarray:
-    points = points[np.abs(points) > 0]
-    if points.size == 0:
-        raise ValueError("no nonzero points")
-    return np.angle(points)
-
-
-def grid_deviation(points: np.ndarray, g: int) -> float:
-    """Largest distance of a nonzero point's argument from the grid {pi*j/g}."""
-    args = _nonzero_angles(points)
+def grid_deviation(angles: np.ndarray, g: int) -> float:
+    """Largest distance of an argument from the grid {pi*j/g}."""
     spacing = math.pi / g
-    return float(np.abs(args - spacing * np.rint(args / spacing)).max())
+    return float(np.abs(angles - spacing * np.rint(angles / spacing)).max())
 
 
-def uniform_angle_ks(points: np.ndarray) -> float:
-    """KS distance of the nonzero points' arg/(2*pi) mod 1 to the uniform law."""
-    u = np.mod(_nonzero_angles(points) / (2.0 * math.pi), 1.0)
-    return ks_one_sample(u, lambda t: np.clip(t, 0.0, 1.0))
+def uniform_angle_ks(angles: np.ndarray) -> float:
+    """KS distance of arg/(2*pi) mod 1 to the uniform law."""
+    return ks_one_sample(np.mod(angles / (2.0 * math.pi), 1.0), lambda t: np.clip(t, 0.0, 1.0))
 
 
-def band_mass(points: np.ndarray, r: float, epsilon: float) -> float:
-    """Fraction of points with r-eps < |z| < r+eps."""
+def band_mass(radii: np.ndarray, r: float, epsilon: float) -> float:
+    """Fraction of moduli in the band r-eps < |z| < r+eps."""
     if r <= 0:
         raise ValueError("degenerate-circle law needs a radius > 0")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    if points.size == 0:
+    if radii.size == 0:
         return 0.0
-    radii = np.abs(points)
     return float(np.mean((radii > r - epsilon) & (radii < r + epsilon)))

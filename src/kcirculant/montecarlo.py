@@ -229,18 +229,18 @@ class ExperimentKind:
     tolerances: dict[str, tuple[float, str]]  # key -> (default, flag that sets it)
     takes_g: bool = False
     run_statistics: Callable[[list, ExperimentConfig, dict], dict] = lambda *_: {}
-    # (a, k, n) -> what the statistics read; by default the ESD of the spectrum
-    observe: Callable = lambda a, k, n: limits.esd(spectral.formula_spectrum(a, k, n))
+    # (a, k, n) -> what the statistics read; by default the polar ESD (radii, angles)
+    observe: Callable = lambda a, k, n: limits.esd(*spectral.formula_polar(a, k, n), n)
 
 
-_RADIAL_KS = ("radial_ks", lambda points, g, tol: limits.ks_radial(points, g))
+_RADIAL_KS = ("radial_ks", lambda esd, g, tol: limits.ks_radial(esd[0], g))
 
 KINDS = {  # in the order the lsd and gumbel commands list their tolerance flags
     KIND_LSD3: ExperimentKind(
         theorem=3, command="lsd", hypothesis=_congruence(-1), takes_g=True,
         law=lambda hyp, tol: hyp["g"],
-        statistics=(_RADIAL_KS, ("angular_grid_dev", lambda points, g, tol:
-                                 limits.grid_deviation(points, g))),
+        statistics=(_RADIAL_KS, ("angular_grid_dev", lambda esd, g, tol:
+                                 limits.grid_deviation(esd[1], g))),
         summarised=("radial_ks", "angular_grid_dev"),
         pass_rule=(("radial_ks_mean", operator.lt, "radial_ks_mean"),
                    ("angular_grid_dev_max", operator.lt, "angular_grid_dev")),
@@ -249,8 +249,8 @@ KINDS = {  # in the order the lsd and gumbel commands list their tolerance flags
     KIND_LSD4: ExperimentKind(
         theorem=4, command="lsd", hypothesis=_congruence(+1), takes_g=True,
         law=lambda hyp, tol: hyp["g"],
-        statistics=(_RADIAL_KS, ("angular_ks", lambda points, g, tol:
-                                 limits.uniform_angle_ks(points))),
+        statistics=(_RADIAL_KS, ("angular_ks", lambda esd, g, tol:
+                                 limits.uniform_angle_ks(esd[1]))),
         summarised=("radial_ks", "angular_ks"),
         pass_rule=(("radial_ks_mean", operator.lt, "radial_ks_mean"),
                    ("angular_ks_mean", operator.lt, "angular_ks_mean")),
@@ -259,8 +259,8 @@ KINDS = {  # in the order the lsd and gumbel commands list their tolerance flags
     KIND_LSD2: ExperimentKind(
         theorem=2, command="lsd", hypothesis=_degenerate_circle,
         law=lambda hyp, tol: tol["radius"],
-        statistics=(("band_mass", lambda points, r, tol:
-                     limits.band_mass(points, r, tol["epsilon"])),),
+        statistics=(("band_mass", lambda esd, r, tol:
+                     limits.band_mass(esd[0], r, tol["epsilon"])),),
         summarised=("band_mass",),
         pass_rule=(("band_mass_min", operator.ge, "band_mass_min"),),
         tolerances={"band_mass_min": (0.9, "--tol-band"),

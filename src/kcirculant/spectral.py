@@ -7,8 +7,8 @@ shifted right by j*k factors as
 
 where Pi_j multiplies the input DFT over the j-th orbit of t -> t*k (mod n').
 This module builds the dense matrix, the DFT, the per-orbit products in log
-form, the exact eigenvalue multiset and spectral radius, plus the dense
-eigensolver and the matcher that the verify sweep compares them with.
+form, the exact eigenvalue multiset, also in polar form, and spectral radius,
+plus the dense eigensolver and the matcher that the verify sweep compares them with.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "build_matrix",
     "dft",
     "formula_spectrum",
+    "formula_polar",
     "formula_radius",
     "dense_spectrum_oracle",
     "spectra_match",
@@ -80,36 +81,45 @@ def dft(a) -> np.ndarray:
 
 
 def _log_moduli(spectrum: np.ndarray, n: int, partition: EigenPartition,
-                dft_indices: np.ndarray) -> np.ndarray:
-    """Per-block sums of log |lambda_t|, -inf at a zero, read from the first n//2 + 1
-    values of spectrum (the DFT or the real FFT): |lambda_{n-t}| = |lambda_t| exactly."""
+                fold: np.ndarray) -> np.ndarray:
+    """Per-block sums of log |lambda_t|, -inf at a zero, from the first n//2 + 1 values of
+    spectrum (the DFT or the real FFT) at fold = min(t, n - t): |lambda_{n-t}| = |lambda_t|."""
     with np.errstate(divide="ignore"):
         half_logs = np.log(np.abs(spectrum[..., : n // 2 + 1]))
-    return np.add.reduceat(half_logs.take(np.minimum(dft_indices, n - dft_indices), axis=-1),
-                           partition.starts, axis=-1)
+    return np.add.reduceat(half_logs.take(fold, axis=-1), partition.starts, axis=-1)
 
 
-def _log_block_products(lam: np.ndarray, partition: EigenPartition,
+def _log_block_products(half: np.ndarray, n: int, partition: EigenPartition,
                         dft_indices: np.ndarray):
-    """Per-block DFT products in log form: (log modulus, principal angle).
+    """Per-block DFT products in log form: (log modulus, principal angle), read
+    from lambda_0..lambda_{n//2} of half alone: a t > n/2 takes -angle(lambda_{n-t}).
 
-    A self-conjugate block multiplies to a real number: its t, n'-t pairs
-    contribute |lambda|^2 and only the t = 0 and t = n'/2 factors carry a
-    sign. Those blocks get an exact angle of 0 or pi, which keeps the root
-    directions exactly on their grid. Blocks whose product underflows to 0
-    (some lambda_t == 0) come out with log modulus -inf. Works row by row on a stack.
+    A self-conjugate block multiplies to a real number: its t, n'-t pairs contribute
+    |lambda|^2 and only the t = 0 and t = n'/2 factors carry a sign. Those blocks get
+    an exact angle of 0 or pi, which keeps the root directions exactly on their grid.
+    A block with some lambda_t == 0 gets log modulus -inf. Works row by row on a stack.
     """
-    vals = lam.take(dft_indices, axis=-1)
+    fold = np.minimum(dft_indices, n - dft_indices)
+    arg = np.angle(half[..., : n // 2 + 1])
+    arg = np.concatenate([arg, -arg[..., (n - 1) // 2:0:-1]], axis=-1)  # every t, mirrored
     starts, self_conj = partition.starts, partition.self_conjugate
-    log_mod = _log_moduli(lam, lam.shape[-1], partition, dft_indices)
-    raw = np.add.reduceat(np.angle(vals), starts, axis=-1)
-    theta = np.remainder(raw, TWO_PI)
+    theta = np.remainder(np.add.reduceat(arg.take(dft_indices, axis=-1), starts, axis=-1), TWO_PI)
     theta[theta > math.pi] -= TWO_PI
     theta.T[self_conj] = 0.0  # block axis first: x[..., mask] is slow on one row
     # the self-conjugate singletons are exactly {0} and {n'/2}, whose real,
     # possibly negative DFT values are the only sign carriers
-    theta[self_conj & (partition.sizes == 1) & (vals.take(starts, -1).real < 0.0)] = math.pi
-    return log_mod, theta
+    theta[self_conj & (partition.sizes == 1) & (half.take(fold[starts], -1).real < 0)] = math.pi
+    return _log_moduli(half, n, partition, fold), theta
+
+
+def _polar_roots(half: np.ndarray, n: int, partition: EigenPartition, dft_indices: np.ndarray):
+    """formula_spectrum's block roots as (moduli, arguments), in eigenvalue order."""
+    log_mod, theta = _log_block_products(half, n, partition, dft_indices)
+    inv = 1.0 / partition.sizes
+    ang = np.repeat(theta, partition.sizes, axis=-1)
+    ang += TWO_PI * _root_rank(partition)
+    ang *= np.repeat(inv, partition.sizes)
+    return np.repeat(np.exp(log_mod * inv), partition.sizes, axis=-1), ang
 
 
 @dataclass
@@ -162,22 +172,22 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     a = as_input_sequence(a, rows=True, n=n)
     params, partition, idx = _reduced_structure(n, k)
     lam = dft(a)
-    log_mod, theta = _log_block_products(lam, partition, idx)
-
-    # every root of block j shares |Pi_j|^(1/n_j) and the step 1/n_j; the in-place
-    # steps below round exactly as |Pi_j|^(1/n_j) * (cos + 1j * sin) would
-    sizes = partition.sizes
-    inv = 1.0 / sizes
-    zeros = n - params.n_prime
+    modulus, ang = _polar_roots(lam, n, partition, idx)
+    # no temporaries, and the bits of modulus * (cos + 1j * sin): no argument is -0.0
     eigs = np.zeros(a.shape[:-1] + (n,), complex)
-    ang = np.repeat(theta, sizes, axis=-1)
-    ang += TWO_PI * _root_rank(partition)
-    ang *= np.repeat(inv, sizes)
-    roots = eigs[..., zeros:]
-    np.multiply(1j, np.sin(ang), out=roots)
-    roots += np.cos(ang)
-    roots *= np.repeat(np.exp(log_mod * inv), sizes, axis=-1)  # |Pi_j|^(1/n_j)
-    return SpectrumResult(eigs, zeros, lam, params, partition)
+    roots = eigs[..., params.zero_multiplicity:]
+    np.sin(ang, out=roots.imag)
+    np.cos(ang, out=roots.real)
+    roots *= modulus
+    return SpectrumResult(eigs, params.zero_multiplicity, lam, params, partition)
+
+
+def formula_polar(a, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """formula_spectrum's roots as (moduli, arguments), without its n - n' zeros, a complex
+    root or the full DFT. A block's roots share one modulus; arguments lie in (-pi, 2*pi)."""
+    a = as_input_sequence(a, rows=True, n=n)
+    _, partition, idx = _reduced_structure(n, k)
+    return _polar_roots(np.fft.rfft(a).conj(), n, partition, idx)
 
 
 def formula_radius(a, k: int, n: int) -> float:
@@ -189,7 +199,7 @@ def formula_radius(a, k: int, n: int) -> float:
     """
     a = as_input_sequence(a, n=n)
     _, partition, idx = _reduced_structure(n, k)
-    log_mod = _log_moduli(np.fft.rfft(a), n, partition, idx)
+    log_mod = _log_moduli(np.fft.rfft(a), n, partition, np.minimum(idx, n - idx))
     return float(np.exp(log_mod * (1.0 / partition.sizes)).max())
 
 

@@ -224,13 +224,13 @@ def block_products(dft_values, params: KCirculantParams) -> np.ndarray:
     if lam.size != params.n:
         raise ValueError("DFT length must equal n")
     _, partition, idx = structure(params.n, params.k)
-    log_mod, theta = _log_block_products(lam, partition, idx)
+    log_mod, theta = _log_block_products(lam, params.n, partition, idx)
     return _assemble_products(log_mod, theta, partition)
 
 
 def reference_formula_spectrum(a, k: int, n: int):
-    """formula_spectrum assembled as it first was: log moduli of all n DFT
-    values, per-root gathers, and one concatenate of zeros and roots.
+    """formula_spectrum assembled as it first was: log moduli and angles of all
+    n DFT values, per-root gathers, and one concatenate of zeros and roots.
 
     Returns (eigenvalues, dft, block_index, root_index); the library must
     reproduce every bit of each.
@@ -238,7 +238,13 @@ def reference_formula_spectrum(a, k: int, n: int):
     a = as_input_sequence(a, rows=True)
     params, partition, idx = _reduced_structure(n, k)
     lam = spectral.dft(a)
-    _, theta = _log_block_products(lam, partition, idx)
+    vals = lam.take(idx, axis=-1)
+    theta = np.remainder(np.add.reduceat(np.angle(vals), partition.starts, axis=-1), TWO_PI)
+    theta[theta > math.pi] -= TWO_PI
+    self_conj = partition.self_conjugate
+    theta[..., self_conj] = 0.0
+    signs = vals.take(partition.starts, -1).real < 0.0
+    theta[self_conj & (partition.sizes == 1) & signs] = math.pi
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(lam.take(idx, axis=-1)))
     log_mod = np.add.reduceat(logs, partition.starts, axis=-1)
@@ -257,9 +263,9 @@ def reference_formula_spectrum(a, k: int, n: int):
     return eigs, lam, block_index, root_index
 
 
-def reference_ks_radial(points: np.ndarray, g: int) -> float:
+def reference_ks_radial(radii: np.ndarray, g: int) -> float:
     """ks_radial with the distinct radii and their inverse from np.unique."""
-    uniq, inverse = np.unique(np.sort(np.abs(points)), return_inverse=True)
+    uniq, inverse = np.unique(np.sort(radii), return_inverse=True)
     f = _radial_cdf(g, uniq)[inverse]
     steps = np.arange(f.size + 1) / f.size
     return float(max((steps[1:] - f).max(), (f - steps[:-1]).max()))
@@ -304,7 +310,7 @@ def det_probe_oracle(a, k: int, n: int, trial_points) -> list[DetProbe]:
     A = build_matrix(a, k, n)
     spectrum = formula_spectrum(a, k, n)
     _, partition, idx = _reduced_structure(n, k)
-    log_mod, theta = _log_block_products(spectrum.dft, partition, idx)
+    log_mod, theta = _log_block_products(spectrum.dft, n, partition, idx)
     scale = math.sqrt(n)
     B = A / scale
     eye = np.eye(n)

@@ -339,14 +339,14 @@ class TestReportDigests:
           "--radius", "0.75", "--epsilon", "0.06"], 0,
          "05bf2a6ee78c9941a619fa2ae496ba49c956fa4852a266ba1ddeacae7b3645c4"),
         (["lsd", "--theorem", "3", "--k", "100", "--n", "10001", "--trials", "2"], 0,
-         "d5a1ec33416f78879b38cbb818247e5dc1ece8ef7d7d7d534b1ecde6c0f68881"),
+         "a0f31993d95030eb164ad3bc56f6d10305e38c6100145a0450b9472de405764f"),
         (["lsd", "--theorem", "3", "--k", "5", "--n", "126", "--trials", "2"], 1,  # g = 3
-         "61b142905b0ddce9f9e579e4e8a9e89592f03b5952bdaa1424e717393387e370"),
+         "37421be99b6aac57da1098e64bbaa024f4d6636c38b3084b8d546c1e17f7a74d"),
         (["lsd", "--theorem", "4", "--k", "100", "--n", "9999", "--trials", "2",
           "--law", "exp"], 0,
-         "07f1c5a603bf91efec5674ef10f1937202ab46addf83b629bb1e7b9b616eb49a"),
+         "0ab789457007b5bfe26907675dbd5886013e0e5bad67ea7319d48c8dc276cd05"),
         (["lsd", "--theorem", "4", "--k", "11", "--n", "665", "--trials", "1"], 0,  # g = 3
-         "c0d218f5858a68bc377215df64c1057d1dd4faf6abd00dde22aa0987c3e84020"),
+         "20a2aee47118a8a24d29f00849677f6855e79dd0833f89f17e7f79d1ecf2138e"),
         (["gumbel", "--kk", "20", "--trials", "50"], 1,
          "f88bd2a8ea82b71f5e3fc58085c049e6f362e6ba0e381544871e6fe1435dc1dd"),
     ], ids=["lsd2", "lsd3", "lsd3_g3", "lsd4_exp", "lsd4_g3", "gumbel"])

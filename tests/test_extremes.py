@@ -18,7 +18,12 @@ from kcirculant.extremes import (
     normalization,
     standardize_radius,
 )
-from kcirculant.spectral import build_matrix, dense_spectrum_oracle, formula_spectrum
+from kcirculant.spectral import (
+    build_matrix,
+    dense_spectrum_oracle,
+    formula_radius,
+    formula_spectrum,
+)
 
 # frozen 30-digit mpmath references for the in-suite K1 oracle itself
 K1_REFERENCE = {
@@ -140,16 +145,21 @@ class TestKbar:
 
 
 class TestSpectralRadius:
+    """formula_radius: the largest block modulus, read from the half-spectrum."""
+
     def test_identity_spectrum(self):
-        assert np.abs(np.ones(5)).max() == 1.0
+        # the unit impulse has every DFT value exactly 1, so every block product is 1
+        impulse = np.eye(1, 9)[0]
+        for k in range(1, 9):
+            assert formula_radius(impulse, k, 9) == 1.0
 
     def test_permutation_spectrum(self):
         a = np.zeros(7)
         a[0] = 1.0
-        assert np.abs(formula_spectrum(a, 2, 7).eigenvalues).max() == pytest.approx(1.0)
+        assert formula_radius(a, 2, 7) == pytest.approx(1.0)
 
     def test_zero_input(self):
-        assert np.abs(formula_spectrum(np.zeros(6), 5, 6).eigenvalues).max() == 0.0
+        assert formula_radius(np.zeros(6), 5, 6) == 0.0
 
     def test_equals_max_block_root_modulus(self):
         rng = np.random.default_rng(0)
@@ -159,7 +169,9 @@ class TestSpectralRadius:
         by_products = max(
             abs(products[j]) ** (1.0 / len(blk))
             for j, blk in enumerate(blocks_of(spectrum.partition)))
-        assert np.abs(spectrum.eigenvalues).max() == pytest.approx(by_products, rel=1e-12)
+        assert formula_radius(a, 3, 10) == pytest.approx(by_products, rel=1e-12)
+        assert formula_radius(a, 3, 10) == pytest.approx(
+            np.abs(spectrum.eigenvalues).max(), rel=4 * np.finfo(float).eps)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1)

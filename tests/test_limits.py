@@ -26,7 +26,7 @@ from kcirculant.limits import (
     _log_gamma_1_plus_it,
     _radial_cdf,
 )
-from kcirculant.spectral import formula_spectrum
+from kcirculant.spectral import formula_polar, formula_spectrum
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -277,28 +277,47 @@ class TestLsdSample:
             lsd_sample(2, 0, np.random.default_rng(0), roots=True)
 
 
+def polar(points):
+    """A complex cloud as the statistics read it: (moduli, arguments)."""
+    points = np.asarray(points, dtype=complex)
+    return np.abs(points), np.angle(points)
+
+
+def polar_esd(a, k, n):
+    return esd(*formula_polar(a, k, n), n)
+
+
 class TestEsd:
     def test_delta_input_all_half(self):
         a = np.zeros(4)
         a[0] = 1.0
-        assert np.allclose(esd(formula_spectrum(a, 1, 4)), 0.5)
+        radii, angles = polar_esd(a, 1, 4)
+        assert np.allclose(radii, 0.5)
+        assert angles.size == 4
 
     def test_zero_exclusion_flag(self):
-        # n' = 3 at (k, n) = (2, 6): esd drops exactly the n - n' leading zeros
+        # n' = 3 at (k, n) = (2, 6): the ESD leaves out exactly the n - n' leading zeros
         rng = np.random.default_rng(6)
-        spectrum = formula_spectrum(rng.standard_normal(6), 2, 6)
+        a = rng.standard_normal(6)
+        spectrum = formula_spectrum(a, 2, 6)
         assert spectrum.zero_multiplicity == 3
         assert np.all(spectrum.eigenvalues[:3] == 0)
-        points = esd(spectrum)
-        assert np.array_equal(points, spectrum.eigenvalues[3:] / math.sqrt(6))
-        assert np.all(points != 0)
+        radii, angles = polar_esd(a, 2, 6)
+        points = spectrum.eigenvalues[3:] / math.sqrt(6)
+        assert radii.size == angles.size == 3
+        assert np.allclose(radii, np.abs(points), rtol=4 * np.finfo(float).eps, atol=0)
+        assert np.all(radii != 0)
 
     def test_angles_on_quarter_grid_k10_n101(self):
         rng = np.random.default_rng(7)
-        spectrum = formula_spectrum(rng.standard_normal(101), 10, 101)
-        args = np.angle(esd(spectrum))
+        _, args = polar_esd(rng.standard_normal(101), 10, 101)
         dev = np.abs(args - (math.pi / 2) * np.rint(args / (math.pi / 2)))
         assert dev.max() < 1e-9
+
+    def test_zero_moduli_drop_their_angles(self):
+        radii, angles = esd(np.array([0.0, 2.0, 0.0, 4.0]), np.array([1.0, 2.0, 3.0, 4.0]), 4)
+        assert radii.tolist() == [0.0, 1.0, 0.0, 2.0]
+        assert angles.tolist() == [2.0, 4.0]
 
 
 class TestKs:
@@ -315,20 +334,20 @@ class TestKs:
 
     def test_radial_self_sample(self):
         rng = np.random.default_rng(8)
-        assert ks_radial(lsd_sample(2, 10**4, rng, roots=True), 2) < 0.02
+        assert ks_radial(np.abs(lsd_sample(2, 10**4, rng, roots=True)), 2) < 0.02
 
     def test_radial_all_zeros_against_g1(self):
-        assert ks_radial(np.zeros(50, dtype=complex), 1) == pytest.approx(1.0)
+        assert ks_radial(np.zeros(50), 1) == pytest.approx(1.0)
 
     def test_radial_on_small_spectrum(self):
         rng = np.random.default_rng(24)  # seed picked so the 25-block cloud is typical
-        spectrum = formula_spectrum(rng.standard_normal(101), 10, 101)
-        d = ks_radial(esd(spectrum), 2)
+        radii, _ = polar_esd(rng.standard_normal(101), 10, 101)
+        d = ks_radial(radii, 2)
         assert d < 0.15
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            ks_radial(np.array([], dtype=complex), 2)
+            ks_radial(np.array([]), 2)
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     @pytest.mark.parametrize("points, structural", [
@@ -339,56 +358,61 @@ class TestKs:
         ([0.0], 0),
     ])
     def test_radial_equals_unique_form(self, g, points, structural):
-        points = np.array(points, dtype=complex)[structural:]  # as esd drops them
-        assert ks_radial(points, g) == reference_ks_radial(points, g)
+        radii, _ = polar(np.array(points, dtype=complex)[structural:])  # as esd drops them
+        assert ks_radial(radii, g) == reference_ks_radial(radii, g)
 
     @PROPERTY
     @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 300), levels=st.integers(1, 40))
     def test_radial_equals_unique_form_on_quantized_radii(self, seed, size, levels):
         rng = np.random.default_rng(seed)  # few radius levels: many exact ties
         radii = rng.integers(0, levels, size) / levels * 2.0
-        points = radii * np.exp(2j * np.pi * rng.random(size))
-        assert ks_radial(points, 2) == reference_ks_radial(points, 2)
+        assert ks_radial(radii, 2) == reference_ks_radial(radii, 2)
 
 
 class TestAngular:
     def test_grid_statistic_k10_n101(self):
         rng = np.random.default_rng(9)
-        spectrum = formula_spectrum(rng.standard_normal(101), 10, 101)
-        assert grid_deviation(esd(spectrum), 2) < 1e-9
+        _, angles = polar_esd(rng.standard_normal(101), 10, 101)
+        assert grid_deviation(angles, 2) < 1e-9
 
     def test_uniform_self_sample(self):
         rng = np.random.default_rng(10)
-        assert uniform_angle_ks(lsd_sample(2, 10**4, rng)) < 0.02
+        assert uniform_angle_ks(polar(lsd_sample(2, 10**4, rng))[1]) < 0.02
 
     def test_point_mass_angle_fails_uniform(self):
-        pts = np.full(1000, 1.0 + 0j)
-        assert uniform_angle_ks(pts) > 0.9
+        _, angles = polar(np.full(1000, 1.0 + 0j))
+        assert uniform_angle_ks(angles) > 0.9
+
+    def test_unreduced_arguments(self):
+        # formula_polar's arguments run past pi; both statistics read them mod 2*pi
+        angles = np.array([0.1, 1.2, 2.9, -0.4])
+        shifted = angles + 2 * math.pi
+        assert grid_deviation(shifted, 3) == pytest.approx(grid_deviation(angles, 3), abs=1e-15)
+        assert uniform_angle_ks(shifted) == pytest.approx(uniform_angle_ks(angles), abs=1e-15)
 
     def test_empty_raises(self):
-        for statistic in (lambda pts: grid_deviation(pts, 2), uniform_angle_ks):
-            with pytest.raises(ValueError, match="no nonzero points"):
-                statistic(np.zeros(3, dtype=complex))
+        # zero points have no argument: esd refuses a cloud with none left
+        with pytest.raises(ValueError, match="no nonzero points"):
+            esd(np.zeros(3), np.zeros(3), 3)
 
 
 class TestBandMass:
     def test_degenerate_samples_all_in_band(self):
         rng = np.random.default_rng(11)
-        pts = lsd_sample(None, 500, rng)
-        assert band_mass(pts, DEGENERATE_RADIUS, 0.01) == 1.0
+        radii, _ = polar(lsd_sample(None, 500, rng))
+        assert band_mass(radii, DEGENERATE_RADIUS, 0.01) == 1.0
 
     def test_zero_epsilon(self):
         rng = np.random.default_rng(12)
-        pts = lsd_sample(None, 100, rng)
-        assert band_mass(pts, DEGENERATE_RADIUS, 0.0) == 0.0
+        radii, _ = polar(lsd_sample(None, 100, rng))
+        assert band_mass(radii, DEGENERATE_RADIUS, 0.0) == 0.0
 
     def test_structural_zeros_skipped(self):
         # (k, n) = (2, 6) has 3 structural zeros; a band holding every nonzero
         # radius holds all of the ESD, where the zeros would make it half
-        spectrum = formula_spectrum(np.random.default_rng(6).standard_normal(6), 2, 6)
-        radii = np.abs(esd(spectrum))
+        radii, _ = polar_esd(np.random.default_rng(6).standard_normal(6), 2, 6)
         r, half = (radii.max() + radii.min()) / 2, (radii.max() - radii.min()) / 2 + 1e-9
-        assert band_mass(esd(spectrum), r, half) == 1.0
+        assert band_mass(radii, r, half) == 1.0
 
     @pytest.mark.parametrize("r, epsilon, message", [
         (0.0, 0.05, "radius > 0"), (-1.0, 0.05, "radius > 0"),
@@ -396,7 +420,7 @@ class TestBandMass:
     ])
     def test_bad_band_raises(self, r, epsilon, message):
         with pytest.raises(ValueError, match=message):
-            band_mass(np.full(4, 0.75 + 0j), r, epsilon)
+            band_mass(np.full(4, 0.75), r, epsilon)
 
 
 class TestExportPoints:

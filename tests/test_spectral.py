@@ -14,14 +14,19 @@ from helpers import (
     dft_naive,
     reference_formula_spectrum,
 )
+from kcirculant.limits import esd
+from kcirculant.montecarlo import DEFAULT_MASTER_SEED
 from kcirculant.numtheory import decompose, eigen_partition
+from kcirculant.seeding import derive_trial_seed, input_law
 from kcirculant.spectral import (
+    TWO_PI,
     _least_sum_assignment,
     as_input_sequence,
     build_matrix,
     dense_spectrum_oracle,
     dft,
     export_spectrum_csv,
+    formula_polar,
     formula_radius,
     formula_spectrum,
     spectra_match,
@@ -405,8 +410,59 @@ class TestFormulaRadius:
             formula_radius(np.ones(5), 2, 6)
 
 
+class TestFormulaPolar:
+    """formula_polar gives formula_spectrum's nonzero-structure roots as (moduli,
+    arguments); through esd, the ESD the lsd kinds read."""
+
+    @staticmethod
+    def ulps_from_complex_esd(a, k, n):
+        """Largest relative radius error and absolute argument error, in units of EPS."""
+        spectrum = formula_spectrum(a, k, n)
+        points = spectrum.eigenvalues[spectrum.zero_multiplicity:] / math.sqrt(n)
+        radii, angles = esd(*formula_polar(a, k, n), n)
+        assert radii.shape == angles.shape == points.shape
+        modulus = np.abs(points)
+        turns = angles - np.angle(points)  # arguments are not reduced to (-pi, pi]
+        return (np.abs(radii - modulus) / modulus).max() / EPS, \
+            np.abs(turns - TWO_PI * np.rint(turns / TWO_PI)).max() / EPS
+
+    def test_matches_abs_and_angle_for_every_small_pair(self):
+        worst = [self.ulps_from_complex_esd(np.random.default_rng(n).standard_normal(n), k, n)
+                 for n in range(2, 200) for k in range(1, n)]
+        assert np.all(np.max(worst, axis=0) <= 4.0)
+
+    @pytest.mark.parametrize("k, n, law", [(100, 10001, "gaussian"), (100, 9999, "gaussian"),
+                                           (2, 6561, "gaussian"), (11, 665, "exp")])
+    def test_matches_abs_and_angle_on_lsd_configs(self, k, n, law):
+        for trial in range(2):
+            seed = derive_trial_seed(DEFAULT_MASTER_SEED, trial)
+            a = input_law(law).sample(np.random.default_rng(seed), n)
+            assert max(self.ulps_from_complex_esd(a, k, n)) <= 4.0
+
+    @PROPERTY
+    @given(pair=k_n_pairs(), kind=st.sampled_from(sorted(INPUT_KINDS)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_exact_modulus_per_block(self, pair, kind, seed):
+        k, n = pair
+        a = INPUT_KINDS[kind](np.random.default_rng(seed), n)
+        moduli, _ = formula_polar(a, k, n)
+        partition = formula_spectrum(a, k, n).partition
+        assert moduli.size == partition.n_prime
+        assert np.array_equal(moduli, np.repeat(moduli[partition.starts], partition.sizes))
+        assert formula_radius(a, k, n) == moduli.max()
+
+    @PROPERTY
+    @given(case=input_stacks())
+    def test_rows_equal_single_calls(self, case):
+        k, n, a = case
+        moduli, angles = formula_polar(a, k, n)
+        for row, m, t in zip(a, moduli, angles):
+            single = formula_polar(row, k, n)
+            assert np.array_equal(m, single[0]) and np.array_equal(t, single[1])
+
+
 class TestKReduction:
-    @pytest.mark.parametrize("fn", [formula_spectrum, formula_radius])
+    @pytest.mark.parametrize("fn", [formula_spectrum, formula_radius, formula_polar])
     @pytest.mark.parametrize("k, message", [(-1, "k must be at least 1"),
                                             (0, "k must be at least 1"),
                                             (10, "k reduces to 0 mod n"),
