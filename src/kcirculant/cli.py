@@ -15,12 +15,13 @@ import functools
 import math
 import shutil
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from . import extremes, montecarlo, spectral
 from ._textio import write_text
-from .numtheory import ORBIT_CAP, structure
+from .numtheory import decompose, orbit_table
 from .seeding import INPUT_LAWS, LAW_ALIASES, derive_trial_seed, input_law
 
 EXIT_PASS = 0
@@ -69,11 +70,11 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def cmd_partition(args) -> int:
-    params, part, _ = structure(args.n, args.k)
-    ups = part.upsilon
-    values, counts = np.unique(part.sizes, return_counts=True)
-    hist = dict(zip(values.tolist(), counts.tolist()))
-    self_conj = int(part.self_conjugate.sum())
+    params = decompose(args.n, args.k)
+    rows = orbit_table(params)  # every orbit size divides the last row's, g1
+    hist = {size: sum(c for s, _, c in rows if s == size) for size, _, _ in rows}
+    g1, blocks, self_conj = rows[-1][0], sum(hist.values()), sum(c for _, sc, c in rows if sc)
+    ups = Fraction(sum(size * count for size, count in hist.items() if size < g1), params.n_prime)
     if args.json:
         import json
         payload = {
@@ -82,11 +83,11 @@ def cmd_partition(args) -> int:
             "common_primes": [{"p": p, "alpha": a, "beta": b}
                               for p, a, b in params.common_primes],
             "zero_multiplicity": params.zero_multiplicity,
-            "g1": part.g1, "blocks": part.block_count,
+            "g1": g1, "blocks": blocks,
             "upsilon": str(ups),
             "size_histogram": {str(size): hist[size] for size in sorted(hist)},
             "self_conjugate_blocks": self_conj,
-            "paired_blocks": part.block_count - self_conj,
+            "paired_blocks": blocks - self_conj,
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
         return EXIT_PASS
@@ -96,11 +97,11 @@ def cmd_partition(args) -> int:
     if params.zero_multiplicity:
         print(f"zero_multiplicity={params.zero_multiplicity} "
               f"(eigenvalue 0 appears n - n' times)")
-    print(f"g1={part.g1} blocks={part.block_count} upsilon={ups}")
+    print(f"g1={g1} blocks={blocks} upsilon={ups}")
     sizes = " ".join(f"{size}x{hist[size]}" for size in sorted(hist))
     print(f"block sizes (size x count): {sizes}")
     print(f"conjugacy: {self_conj} self-conjugate, "
-          f"{part.block_count - self_conj} paired")
+          f"{blocks - self_conj} paired")
     return EXIT_PASS
 
 
@@ -114,6 +115,11 @@ FIGURE_PRESETS = {
     "near_square_minus": {"k": 16, "n": 253, "law": "gaussian", "trials": 100},
     "near_square_plus": {"k": 16, "n": 259, "law": "gaussian", "trials": 100},
 }
+
+
+# spectrum's peak RSS at one --k 3 trial, n = 100003 and 1000003: CSV 66.0 and 327.5 MB, SVG
+# 75.0 and 414.1 MB. So 37 MB plus 291 bytes per n (CSV) or 377 per n * trials (SVG).
+SPECTRUM_N_CAP, SVG_POINTS_CAP = 3 * 10**6, 2 * 10**6
 
 
 def _draw_input(law_name: str, seed: int, n: int) -> np.ndarray:
@@ -170,9 +176,12 @@ def cmd_spectrum(args) -> int:
         args.trials = 1
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    if not 2 <= args.n <= ORBIT_CAP:
-        raise ValueError(f"--n must be between 2 and the orbit enumeration cap "
-                         f"{ORBIT_CAP}, got {args.n}")
+    points = args.n * args.trials if args.format == "svg" else args.n  # the peak grows with it
+    if not 2 <= args.n <= SPECTRUM_N_CAP or args.format == "svg" and points > SVG_POINTS_CAP:
+        peak = 37 + points * (377 if args.format == "svg" else 291) / 1e6  # MB, fit above
+        raise ValueError(f"--n must be between 2 and the spectrum cap {SPECTRUM_N_CAP}, and n * "
+                         f"trials at most {SVG_POINTS_CAP} for SVG; got n = {args.n}, trials = "
+                         f"{args.trials}: estimated peak memory {peak:.0f} MB")
     n = args.n
     scale = 1.0 / math.sqrt(n)
     out = sys.stdout if args.out == "-" else args.out

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import extremes, limits, spectral
-from .numtheory import factorize, structure
+from .numtheory import decompose, factorize, orbit_table
 from .seeding import INPUT_LAWS, InputLaw, derive_trial_seed, input_law
 
 __all__ = [
@@ -145,9 +145,9 @@ def _require_coprime(k: int, n: int) -> None:
 
 def _orbit_echo(k: int, n: int) -> dict:
     """The actual g1 and lower-order fraction upsilon of multiplication by k mod n."""
-    partition = structure(n, k % n)[1]
-    return {"g1": partition.g1, "upsilon": float(partition.upsilon),
-            "upsilon_exact": partition.upsilon}
+    rows = orbit_table(decompose(n, k))  # every orbit size divides the last row's, g1
+    upsilon = Fraction(sum(size * count for size, _, count in rows if size < rows[-1][0]), n)
+    return {"g1": rows[-1][0], "upsilon": float(upsilon), "upsilon_exact": upsilon}
 
 
 def _congruence(sign: int):
@@ -197,9 +197,9 @@ def _square_plus_one(config: ExperimentConfig) -> dict:
     if n != k * k + 1:
         raise HypothesisError(f"spectral-radius experiments need n = k^2 + 1; "
                               f"got k={k}, n={n} (k^2+1 = {k * k + 1})")
-    partition = structure(n, k)[1]
-    return {"q": n // 4, "g1": partition.g1,
-            "four_blocks": int(np.count_nonzero(partition.sizes == 4))}
+    rows = orbit_table(decompose(n, k))
+    return {"q": n // 4, "g1": rows[-1][0],
+            "four_blocks": sum(count for size, _, count in rows if size == 4)}
 
 
 def _gumbel_fit(trials: list[dict], config: ExperimentConfig, hypothesis: dict) -> dict:
@@ -362,12 +362,12 @@ def oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
             spectrum = spectral.formula_spectrum(a, k, n)
             zeros = spectrum.zero_multiplicity
             stack = spectral.dense_spectrum_oracle(spectral.build_matrix(a, k, n))
-            for eigs, lam, dense in zip(spectrum.eigenvalues, spectrum.dft, stack):
+            scales = np.maximum(1.0, np.abs(np.fft.rfft(a)).max(-1))  # 1 or max |lambda_t|
+            for eigs, scale, dense in zip(spectrum.eigenvalues, scales, stack):
                 nonzero = eigs[zeros:]
                 if fuzz:
                     nonzero = nonzero + fuzz
                 dist, matched, leftover = spectral.spectra_match(nonzero, dense, tol)
-                scale = max(1.0, float(np.abs(lam).max()))
                 centroid = abs(leftover.sum() / max(leftover.size, 1))
                 scatter = float(np.abs(leftover).max(initial=0.0))
                 pair_scatter = max(pair_scatter, scatter)

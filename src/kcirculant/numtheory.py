@@ -3,14 +3,13 @@
 Everything in this module is exact integer arithmetic, on Python ints and
 numpy integer arrays: the common-factor decomposition of (k, n), the orbits of
 t -> t*k (mod n') that partition Z_{n'}, orbit orders and conjugacy, and the
-fraction upsilon of Z_{n'} in orbits smaller than the largest one.
+table of block counts, which comes from the divisors of n' without a walk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -21,6 +20,7 @@ __all__ = [
     "decompose",
     "multiplicative_order",
     "eigen_partition",
+    "orbit_table",
     "structure",
 ]
 
@@ -165,10 +165,11 @@ class EigenPartition:
     def block_count(self) -> int:
         return int(self.sizes.size)
 
-    @property
-    def upsilon(self) -> Fraction:
-        """Fraction of Z_{n'} in orbits strictly smaller than g1."""
-        return Fraction(int(self.sizes[self.sizes < self.g1].sum()), self.n_prime)
+
+def _capped_n_prime(params: KCirculantParams) -> int:
+    if params.n_prime > ORBIT_CAP:
+        raise ValueError(f"n' = {params.n_prime} exceeds the orbit enumeration cap of {ORBIT_CAP}")
+    return params.n_prime
 
 
 def eigen_partition(params: KCirculantParams) -> EigenPartition:
@@ -179,9 +180,7 @@ def eigen_partition(params: KCirculantParams) -> EigenPartition:
     ceil(log2 g1) rounds cover every orbit, since orbit sizes divide g1.
     A stable sort by label then lists the blocks.
     """
-    m = params.n_prime
-    if m > ORBIT_CAP:
-        raise ValueError(f"n' = {m} exceeds the orbit enumeration cap of {ORBIT_CAP}")
+    m = _capped_n_prime(params)
     kp = params.k % m if m > 1 else 0
     g1 = multiplicative_order(kp, m)
     t = np.arange(m, dtype=np.int64)
@@ -202,14 +201,26 @@ def eigen_partition(params: KCirculantParams) -> EigenPartition:
                           sizes=sizes, g1=g1, conjugate=conjugate)
 
 
-@lru_cache(maxsize=64)
-def structure(n: int, k: int) -> tuple[KCirculantParams, EigenPartition, np.ndarray]:
-    """Decomposition, orbit partition and DFT indices (members * n/n') of (n, k).
+def orbit_table(params: KCirculantParams) -> list[tuple[int, bool, int]]:
+    """eigen_partition's blocks as sorted rows (size, self-conjugate, count), with its cap,
+    counted from the divisors m of n' without a walk: the t with gcd(t, n') = n'/m are the
+    units mod m times n'/m, so m gives phi(m) / ord_m(k) orbits of size ord_m(k) (the lcm of
+    the orders at its prime powers), self-conjugate when m <= 2 or k^(ord/2) = -1 (mod m)."""
+    divisors = [(1, 1, 1)]  # (m, phi(m), ord_m(k)) over the divisors of n' built so far
+    for p, e in factorize(_capped_n_prime(params)):
+        orders = [multiplicative_order(params.k, p**f) for f in range(e + 1)]
+        divisors = [(m * p**f, phi * (p**f - p**f // p), math.lcm(order, orders[f]))
+                    for m, phi, order in divisors for f in range(e + 1)]
+    counts = {}
+    for m, phi, order in divisors:
+        row = order, m <= 2 or order % 2 == 0 and pow(params.k, order // 2, m) == m - 1
+        counts[row] = counts.get(row, 0) + phi // order
+    return sorted((*row, count) for row, count in counts.items())
 
-    The one orbit-structure cache: each (n, k) is walked once; arrays are read-only.
-    """
+
+@lru_cache(maxsize=64)
+def structure(n: int, k: int) -> tuple[KCirculantParams, EigenPartition]:
+    """Decomposition and orbit partition of (n, k): the one orbit-structure cache, so each
+    (n, k) is walked once; arrays are read-only."""
     params = decompose(n, k)
-    partition = eigen_partition(params)
-    dft_indices = partition.members * (n // params.n_prime)
-    dft_indices.setflags(write=False)
-    return params, partition, dft_indices
+    return params, eigen_partition(params)

@@ -5,10 +5,10 @@ shifted right by j*k factors as
 
     lambda^(n - n') * prod_j (lambda^(n_j) - Pi_j)
 
-where Pi_j multiplies the input DFT over the j-th orbit of t -> t*k (mod n').
-This module builds the dense matrix, the DFT, the per-orbit products in log
-form, the exact eigenvalue multiset, also in polar form, and spectral radius,
-plus the dense eigensolver and the matcher that the verify sweep compares them with.
+where Pi_j multiplies the input DFT over the j-th orbit of t -> t*k (mod n'): its values at
+the multiples of n/n', which are the n'-point DFT of the input summed mod n'. This module
+builds their per-orbit products in log form, the exact eigenvalues, also in polar form, and
+spectral radius, plus the dense matrix, eigensolver and matcher of the verify sweep.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "SpectrumResult",
     "as_input_sequence",
     "build_matrix",
-    "dft",
     "formula_spectrum",
     "formula_polar",
     "formula_radius",
@@ -63,58 +62,50 @@ def build_matrix(a, k: int, n: int) -> np.ndarray:
     return a.take(idx, axis=-1)
 
 
-def dft(a) -> np.ndarray:
-    """All n DFT values lambda_t = sum_l a_l exp(2*pi*i*t*l/n).
-
-    Built from the half-spectrum real FFT so that lambda_{n-t} is the exact
-    floating-point conjugate of lambda_t; the orbit products rely on that.
-    A 2-D stack of inputs is transformed row by row.
-    """
-    a = as_input_sequence(a, rows=True)
-    n = a.shape[-1]
-    half = n // 2
-    r = np.fft.rfft(a)
-    lam = np.empty(a.shape, dtype=complex)
-    lam[..., : half + 1] = np.conj(r)
-    lam[..., half + 1 :] = r[..., 1 : n - half][..., ::-1]
-    return lam
+def _half_spectrum(a: np.ndarray, partition: EigenPartition) -> np.ndarray:
+    """lambda_{t*n/n'} for t = 0..n'//2, the values the formula reads: the n'-point DFT
+    of the input summed mod n' (the input itself when n' = n), as a conjugated real FFT."""
+    m = partition.n_prime
+    if m < a.shape[-1]:
+        a = a.reshape(a.shape[:-1] + (-1, m)).sum(-2)
+    return np.fft.rfft(a).conj()
 
 
-def _log_moduli(spectrum: np.ndarray, n: int, partition: EigenPartition,
-                fold: np.ndarray) -> np.ndarray:
-    """Per-block sums of log |lambda_t|, -inf at a zero, from the first n//2 + 1 values of
-    spectrum (the DFT or the real FFT) at fold = min(t, n - t): |lambda_{n-t}| = |lambda_t|."""
+def _log_moduli(half: np.ndarray, partition: EigenPartition) -> np.ndarray:
+    """Per-block sums of log |lambda_t|, -inf at a zero, from _half_spectrum's values at
+    the fold min(t, n' - t) of each member t: |lambda_{n'-t}| = |lambda_t|."""
+    t = partition.members
     with np.errstate(divide="ignore"):
-        half_logs = np.log(np.abs(spectrum[..., : n // 2 + 1]))
-    return np.add.reduceat(half_logs.take(fold, axis=-1), partition.starts, axis=-1)
+        half_logs = np.log(np.abs(half))
+    return np.add.reduceat(half_logs.take(np.minimum(t, partition.n_prime - t), axis=-1),
+                           partition.starts, axis=-1)
 
 
-def _log_block_products(half: np.ndarray, n: int, partition: EigenPartition,
-                        dft_indices: np.ndarray):
-    """Per-block DFT products in log form: (log modulus, principal angle), read
-    from lambda_0..lambda_{n//2} of half alone: a t > n/2 takes -angle(lambda_{n-t}).
+def _log_block_products(half: np.ndarray, partition: EigenPartition):
+    """Per-block DFT products in log form: (log modulus, principal angle), read from
+    _half_spectrum's values alone: a member t > n'/2 takes -angle(lambda_{n'-t}).
 
     A self-conjugate block multiplies to a real number: its t, n'-t pairs contribute
     |lambda|^2 and only the t = 0 and t = n'/2 factors carry a sign. Those blocks get
     an exact angle of 0 or pi, which keeps the root directions exactly on their grid.
     A block with some lambda_t == 0 gets log modulus -inf. Works row by row on a stack.
     """
-    fold = np.minimum(dft_indices, n - dft_indices)
-    arg = np.angle(half[..., : n // 2 + 1])
-    arg = np.concatenate([arg, -arg[..., (n - 1) // 2:0:-1]], axis=-1)  # every t, mirrored
-    starts, self_conj = partition.starts, partition.self_conjugate
-    theta = np.remainder(np.add.reduceat(arg.take(dft_indices, axis=-1), starts, axis=-1), TWO_PI)
+    m, starts, self_conj = partition.n_prime, partition.starts, partition.self_conjugate
+    arg = np.angle(half)
+    arg = np.concatenate([arg, -arg[..., (m - 1) // 2:0:-1]], axis=-1)  # every t, mirrored
+    theta = np.remainder(np.add.reduceat(arg.take(partition.members, -1), starts, axis=-1), TWO_PI)
     theta[theta > math.pi] -= TWO_PI
     theta.T[self_conj] = 0.0  # block axis first: x[..., mask] is slow on one row
-    # the self-conjugate singletons are exactly {0} and {n'/2}, whose real,
-    # possibly negative DFT values are the only sign carriers
-    theta[self_conj & (partition.sizes == 1) & (half.take(fold[starts], -1).real < 0)] = math.pi
-    return _log_moduli(half, n, partition, fold), theta
+    # the self-conjugate singletons are exactly {0} and {n'/2}, whose real, possibly
+    # negative DFT values are the only sign carriers (and the only values read: clip)
+    theta[self_conj & (partition.sizes == 1)
+          & (half.take(partition.members[starts], -1, mode="clip").real < 0)] = math.pi
+    return _log_moduli(half, partition), theta
 
 
-def _polar_roots(half: np.ndarray, n: int, partition: EigenPartition, dft_indices: np.ndarray):
-    """formula_spectrum's block roots as (moduli, arguments), in eigenvalue order."""
-    log_mod, theta = _log_block_products(half, n, partition, dft_indices)
+def _polar_roots(a: np.ndarray, partition: EigenPartition):
+    """formula_spectrum's block roots of input a as (moduli, arguments), in eigenvalue order."""
+    log_mod, theta = _log_block_products(_half_spectrum(a, partition), partition)
     inv = 1.0 / partition.sizes
     ang = np.repeat(theta, partition.sizes, axis=-1)
     ang += TWO_PI * _root_rank(partition)
@@ -128,14 +119,13 @@ class SpectrumResult:
 
     eigenvalues holds the n - n' structural zeros first (exact 0+0j), then for
     each orbit block its n_j roots of Pi_j in root order r = 0..n_j-1. A stack
-    of inputs gives eigenvalues and dft one row per input; the rest is shared.
+    of inputs gives eigenvalues one row per input; the rest is shared.
     block_index (-1 for structural zeros) and root_index label each eigenvalue;
     both are computed when read.
     """
 
     eigenvalues: np.ndarray
     zero_multiplicity: int
-    dft: np.ndarray
     params: KCirculantParams
     partition: EigenPartition
 
@@ -170,36 +160,34 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     per row, gives one row of eigenvalues per input.
     """
     a = as_input_sequence(a, rows=True, n=n)
-    params, partition, idx = _reduced_structure(n, k)
-    lam = dft(a)
-    modulus, ang = _polar_roots(lam, n, partition, idx)
+    params, partition = _reduced_structure(n, k)
+    modulus, ang = _polar_roots(a, partition)
     # no temporaries, and the bits of modulus * (cos + 1j * sin): no argument is -0.0
     eigs = np.zeros(a.shape[:-1] + (n,), complex)
     roots = eigs[..., params.zero_multiplicity:]
     np.sin(ang, out=roots.imag)
     np.cos(ang, out=roots.real)
     roots *= modulus
-    return SpectrumResult(eigs, params.zero_multiplicity, lam, params, partition)
+    return SpectrumResult(eigs, params.zero_multiplicity, params, partition)
 
 
 def formula_polar(a, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """formula_spectrum's roots as (moduli, arguments), without its n - n' zeros, a complex
-    root or the full DFT. A block's roots share one modulus; arguments lie in (-pi, 2*pi)."""
+    """formula_spectrum's roots as (moduli, arguments), without its n - n' zeros or a complex
+    root. A block's roots share one modulus; arguments lie in (-pi, 2*pi)."""
     a = as_input_sequence(a, rows=True, n=n)
-    _, partition, idx = _reduced_structure(n, k)
-    return _polar_roots(np.fft.rfft(a).conj(), n, partition, idx)
+    return _polar_roots(a, _reduced_structure(n, k)[1])
 
 
 def formula_radius(a, k: int, n: int) -> float:
     """Spectral radius max_j |Pi_j|^(1/n_j), without forming any root.
 
-    All n_j roots of block j share that modulus, and |lambda_{n-t}| equals
-    |lambda_t| exactly, so the half-spectrum real FFT supplies every factor.
+    All n_j roots of block j share that modulus, and |lambda_{n'-t}| equals
+    |lambda_t| exactly, so the half spectrum supplies every factor.
     Agrees with the largest |eigenvalue| of formula_spectrum to a few ulp.
     """
     a = as_input_sequence(a, n=n)
-    _, partition, idx = _reduced_structure(n, k)
-    log_mod = _log_moduli(np.fft.rfft(a), n, partition, np.minimum(idx, n - idx))
+    partition = _reduced_structure(n, k)[1]
+    log_mod = _log_moduli(_half_spectrum(a, partition), partition)
     return float(np.exp(log_mod * (1.0 / partition.sizes)).max())
 
 

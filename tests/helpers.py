@@ -5,15 +5,19 @@ that the vectorized kcirculant.numtheory.eigen_partition is checked against,
 through the tuple views blocks_of and conjugate_block_of;
 lower_order_count_ie counts the elements in smaller orbits by
 inclusion-exclusion instead, and gcd_power_bound checks the gcd(k^b +- 1,
-k^c +- 1) bound of the counting lemmas. dft_naive is the O(n^2) DFT,
-block_products the complex per-orbit products Pi_j, and det_probe_oracle
-compares LU determinants of lambda*I - A with the factorized characteristic
-polynomial. reference_formula_spectrum is the first, concatenate-based
-assembly of the exact spectrum, which formula_spectrum must match bit for
-bit; reference_ks_radial and reference_iid_max_reference are likewise the
-first forms of ks_radial (np.unique over the radii) and of the i.i.d.
-reference (two exponential draws per trial). lsd_sample draws from a limit
-law and export_points_csv writes such a cloud. product_tail is the
+k^c +- 1) bound of the counting lemmas, and table_upsilon reads upsilon off
+kcirculant.numtheory.orbit_table. dft is all n DFT values from the real FFT
+and dft_naive the O(n^2) DFT, the full-length references of the library's
+n'-point transform of the input summed mod n'; block_products is the complex
+per-orbit products Pi_j and full_dft_polar the polar roots, both read off a
+full DFT, and det_probe_oracle compares LU determinants of lambda*I - A with
+the factorized characteristic polynomial. reference_formula_spectrum is the
+first, concatenate-based assembly of the exact spectrum, which
+formula_spectrum must match bit for bit; reference_ks_radial and
+reference_iid_max_reference are likewise the first forms of ks_radial
+(np.unique over the radii) and of the i.i.d. reference (two exponential
+draws per trial). lsd_sample draws from a limit law and export_points_csv
+writes such a cloud. product_tail is the
 nested-quadrature tail of a product of exponentials that the Gil-Pelaez
 radial CDF in kcirculant.limits is checked against; quad_smooth is the
 adaptive quadrature under it. The modified Bessel function K1 here is a
@@ -51,6 +55,7 @@ from kcirculant.numtheory import (
     KCirculantParams,
     factorize,
     multiplicative_order,
+    orbit_table,
     structure,
 )
 from kcirculant.seeding import derive_trial_seed
@@ -58,6 +63,7 @@ from kcirculant.spectral import (
     TWO_PI,
     _log_block_products,
     _reduced_structure,
+    _root_rank,
     as_input_sequence,
     build_matrix,
     formula_spectrum,
@@ -172,6 +178,13 @@ def lower_order_count_ie(params: KCirculantParams) -> int:
     return total
 
 
+def table_upsilon(params: KCirculantParams) -> Fraction:
+    """Fraction of Z_{n'} in orbits smaller than g1, read off orbit_table's rows."""
+    rows = orbit_table(params)
+    return Fraction(sum(size * count for size, _, count in rows if size < rows[-1][0]),
+                    params.n_prime)
+
+
 def gcd_power_bound(k: int, b: int, c: int, sign_b: int, sign_c: int) -> tuple[int, int, bool]:
     """Evaluate gcd(k^b + sign_b, k^c + sign_c) against the bound k^gcd(b,c) + 1.
 
@@ -185,6 +198,40 @@ def gcd_power_bound(k: int, b: int, c: int, sign_b: int, sign_c: int) -> tuple[i
     lhs = math.gcd(k**b + sign_b, k**c + sign_c)
     bound = k ** math.gcd(b, c) + 1
     return lhs, bound, lhs <= bound
+
+
+def dft(a) -> np.ndarray:
+    """All n DFT values lambda_t = sum_l a_l exp(2*pi*i*t*l/n).
+
+    Built from the half-spectrum real FFT so that lambda_{n-t} is the exact
+    floating-point conjugate of lambda_t. A 2-D stack of inputs is transformed
+    row by row; n = 1 is allowed, for the sum of the input mod n' = 1.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    half = n // 2
+    r = np.fft.rfft(a)
+    lam = np.empty(a.shape, dtype=complex)
+    lam[..., : half + 1] = np.conj(r)
+    lam[..., half + 1 :] = r[..., 1 : n - half][..., ::-1]
+    return lam
+
+
+def half_of(lam: np.ndarray, partition: EigenPartition) -> np.ndarray:
+    """lambda_{t*n/n'} for t = 0..n'//2 from all n DFT values: the half spectrum the
+    formula's log products read."""
+    m = partition.n_prime
+    return lam[..., :: lam.shape[-1] // m][..., : m // 2 + 1]
+
+
+def full_dft_polar(a, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """formula_polar's (moduli, arguments) with the block products read off all n DFT
+    values at the multiples of n/n', not off the n'-point DFT of the input summed mod n'."""
+    partition = _reduced_structure(n, k)[1]
+    log_mod, theta = _log_block_products(half_of(dft(a), partition), partition)
+    sizes, inv = partition.sizes, 1.0 / partition.sizes
+    ang = np.repeat(theta, sizes, axis=-1) + TWO_PI * _root_rank(partition)
+    return np.repeat(np.exp(log_mod * inv), sizes, axis=-1), ang * np.repeat(inv, sizes)
 
 
 def dft_naive(a, t_values=None) -> np.ndarray:
@@ -223,21 +270,24 @@ def block_products(dft_values, params: KCirculantParams) -> np.ndarray:
     lam = np.asarray(dft_values, dtype=complex)
     if lam.size != params.n:
         raise ValueError("DFT length must equal n")
-    _, partition, idx = structure(params.n, params.k)
-    log_mod, theta = _log_block_products(lam, params.n, partition, idx)
+    partition = structure(params.n, params.k)[1]
+    log_mod, theta = _log_block_products(half_of(lam, partition), partition)
     return _assemble_products(log_mod, theta, partition)
 
 
 def reference_formula_spectrum(a, k: int, n: int):
     """formula_spectrum assembled as it first was: log moduli and angles of all
-    n DFT values, per-root gathers, and one concatenate of zeros and roots.
+    n' DFT values of the input summed mod n', per-root gathers, and one
+    concatenate of zeros and roots.
 
-    Returns (eigenvalues, dft, block_index, root_index); the library must
+    Returns (eigenvalues, block_index, root_index); the library must
     reproduce every bit of each.
     """
     a = as_input_sequence(a, rows=True)
-    params, partition, idx = _reduced_structure(n, k)
-    lam = spectral.dft(a)
+    params, partition = _reduced_structure(n, k)
+    m = params.n_prime
+    lam = dft(a.reshape(a.shape[:-1] + (-1, m)).sum(-2) if m < n else a)  # library's fold
+    idx = partition.members
     vals = lam.take(idx, axis=-1)
     theta = np.remainder(np.add.reduceat(np.angle(vals), partition.starts, axis=-1), TWO_PI)
     theta[theta > math.pi] -= TWO_PI
@@ -248,7 +298,6 @@ def reference_formula_spectrum(a, k: int, n: int):
     with np.errstate(divide="ignore"):
         logs = np.log(np.abs(lam.take(idx, axis=-1)))
     log_mod = np.add.reduceat(logs, partition.starts, axis=-1)
-    m = params.n_prime
     sizes = partition.sizes
     j_of = np.repeat(np.arange(sizes.size), sizes)
     r = np.arange(m) - partition.starts[j_of]
@@ -260,7 +309,7 @@ def reference_formula_spectrum(a, k: int, n: int):
     eigs = np.concatenate([np.zeros(a.shape[:-1] + (zeros,), complex), roots], axis=-1)
     block_index = np.concatenate([np.full(zeros, -1, dtype=np.int64), j_of])
     root_index = np.concatenate([np.arange(zeros, dtype=np.int64), r])
-    return eigs, lam, block_index, root_index
+    return eigs, block_index, root_index
 
 
 def reference_ks_radial(radii: np.ndarray, g: int) -> float:
@@ -309,8 +358,8 @@ def det_probe_oracle(a, k: int, n: int, trial_points) -> list[DetProbe]:
         raise ValueError("determinant probes are capped at n <= 512")
     A = build_matrix(a, k, n)
     spectrum = formula_spectrum(a, k, n)
-    _, partition, idx = _reduced_structure(n, k)
-    log_mod, theta = _log_block_products(spectrum.dft, n, partition, idx)
+    partition = spectrum.partition
+    log_mod, theta = _log_block_products(half_of(dft(a), partition), partition)
     scale = math.sqrt(n)
     B = A / scale
     eye = np.eye(n)
@@ -494,7 +543,7 @@ def reference_oracle_sweep(n_max: int, samples_per_pair: int, master_seed: int,
             if fuzz:
                 nonzero = nonzero + fuzz
             dist, matched, leftover = spectral.spectra_match(nonzero, dense, tol)
-            scale = max(1.0, float(np.abs(spectrum.dft).max()))
+            scale = max(1.0, float(np.abs(dft(a)).max()))
             centroid = abs(leftover.sum() / max(leftover.size, 1))
             scatter = float(np.abs(leftover).max(initial=0.0))
             pair_scatter = max(pair_scatter, scatter)

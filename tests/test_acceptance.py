@@ -19,6 +19,7 @@ from helpers import (
     kbar_closed_form,
     kcirc,
     lower_order_count_ie,
+    table_upsilon,
 )
 from kcirculant.montecarlo import (
     DEFAULT_MASTER_SEED,
@@ -30,7 +31,7 @@ from kcirculant.montecarlo import (
     run_gumbel_experiment,
     run_lsd_experiment,
 )
-from kcirculant.numtheory import decompose, factorize, structure
+from kcirculant.numtheory import decompose, factorize
 
 
 def test_criterion_1_oracle_equivalence():
@@ -63,7 +64,7 @@ def test_criterion_2_counting_lemmas():
         coprime = [k for k in range(1, m) if math.gcd(k, m) == 1]
         for k in rnd.sample(coprime, min(20, len(coprime))):
             params = decompose(m if m > 1 else 2, k)
-            direct = structure(params.n, params.k)[1].upsilon * m
+            direct = table_upsilon(params) * m
             assert direct.denominator == 1
             count = lower_order_count_ie(params)
             assert count == direct.numerator, (m, k)

@@ -2,13 +2,15 @@ import argparse
 import hashlib
 import json
 import sys
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import kcirculant
 from helpers import kcirc, run_python
 from kcirculant import extremes, limits, montecarlo, numtheory, spectral
-from kcirculant.cli import build_parser, main
+from kcirculant.cli import SPECTRUM_N_CAP, SVG_POINTS_CAP, build_parser, main
 
 
 class TestPartition:
@@ -47,6 +49,20 @@ class TestPartition:
         out = kcirc("partition", "--k", "x", "--n", "5")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("k, n", [(3, 10), (2, 6), (12, 18), (6, 12), (5, 2000),
+                                      (100, 10001), (2, 131071), (4, 100042)])
+    def test_json_counts_are_the_walked_partition(self, k, n, capsys):
+        # partition reads numtheory.orbit_table; eigen_partition's arrays must agree
+        assert main(["partition", "--k", str(k), "--n", str(n), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        part = numtheory.structure(n, k)[1]
+        sizes, counts = np.unique(part.sizes, return_counts=True)
+        assert payload["g1"] == part.g1 and payload["blocks"] == part.block_count
+        assert payload["size_histogram"] == {str(s): int(c) for s, c in zip(sizes, counts)}
+        assert payload["self_conjugate_blocks"] == int(part.self_conjugate.sum())
+        lower = int(part.sizes[part.sizes < part.g1].sum())
+        assert payload["upsilon"] == str(Fraction(lower, part.n_prime))
+
     def test_n_above_orbit_cap_is_usage_error(self):
         # refused before any array of length n' is allocated
         out = kcirc("partition", "--k", "3", "--n", "1000000000000", timeout=5)
@@ -64,7 +80,6 @@ class TestSpectrum:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "re,im,block_index,root_index"
         assert len(lines) == 8
-        import numpy as np
         pts = np.array([complex(float(ln.split(",")[0]), float(ln.split(",")[1]))
                         for ln in lines[1:]])
         assert np.allclose(np.abs(pts), 1 / np.sqrt(7))
@@ -105,6 +120,20 @@ class TestSpectrum:
         assert out.returncode == 2
         assert "cap" in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("argv, peak", [
+        # one above each cap; neither is ever run at the cap itself
+        (["--n", str(SPECTRUM_N_CAP + 1)], "estimated peak memory 910 MB"),
+        (["--n", "1000", "--trials", str(SVG_POINTS_CAP // 1000 + 1), "--format", "svg"],
+         "estimated peak memory 791 MB"),
+    ])
+    def test_memory_caps_are_usage_errors(self, argv, peak, tmp_path):
+        path = tmp_path / "cloud.out"
+        out = kcirc("spectrum", "--k", "3", *argv, "--out", str(path), timeout=5)
+        assert out.returncode == 2
+        assert "spectrum cap" in out.stderr and peak in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not path.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_zero_trials_is_usage_error(self, tmp_path, fmt):
@@ -407,14 +436,15 @@ class TestOneOrbitWalkPerCommand:
         caches = [v for v in vars(spectral).values() if hasattr(v, "cache_info")]
         assert caches == [numtheory.structure]
 
-    @pytest.mark.parametrize("argv", [
-        ["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--trials", "2"],
-        ["gumbel", "--kk", "4", "--trials", "8"],
-        ["partition", "--k", "3", "--n", "10"],
+    @pytest.mark.parametrize("argv, expected", [
+        (["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--trials", "2"], 1),
+        (["gumbel", "--kk", "4", "--trials", "8"], 1),
+        (["partition", "--k", "3", "--n", "10"], 0),  # it reads numtheory.orbit_table
+        (["partition", "--k", "12", "--n", "18", "--json"], 0),
         # k = 13 walks the orbits of k mod n = 3 (lsd refuses k >= n outright)
-        ["spectrum", "--k", "13", "--n", "10", "--trials", "2"],
+        (["spectrum", "--k", "13", "--n", "10", "--trials", "2"], 1),
     ])
-    def test_command_walks_orbits_once(self, argv, monkeypatch, capsys):
+    def test_command_walks_orbits_once(self, argv, expected, monkeypatch, capsys):
         original = numtheory.eigen_partition
         walks = []
 
@@ -429,7 +459,7 @@ class TestOneOrbitWalkPerCommand:
                 monkeypatch.setattr(mod, "eigen_partition", counting)
         numtheory.structure.cache_clear()
         assert main(argv) in (0, 1)
-        assert len(walks) == 1
+        assert len(walks) == expected
 
 
 def _exit_text(parse, argv, capsys):

@@ -1,7 +1,9 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from helpers import (
     gcd_power_bound,
     lower_order_count_ie,
     orbit_walk,
+    table_upsilon,
 )
 from kcirculant.montecarlo import (
     KIND_LSD3,
@@ -24,6 +27,7 @@ from kcirculant.numtheory import (
     decompose,
     eigen_partition,
     multiplicative_order,
+    orbit_table,
     structure,
 )
 
@@ -149,7 +153,7 @@ def assert_matches_orbit_walk(n, k):
     assert tuple(part.sizes.tolist()) == want["sizes"]
     assert conjugate_block_of(part) == want["conjugate_block"]
     assert part.g1 == want["g1"]
-    assert part.upsilon == structure(n, k)[1].upsilon == want["upsilon"]
+    assert table_upsilon(params) == want["upsilon"]
 
 
 class TestEigenPartitionAgainstOrbitWalk:
@@ -175,11 +179,64 @@ class TestEigenPartitionAgainstOrbitWalk:
             structure(ORBIT_CAP + 2, 1)
 
 
+def walked_table(n_prime: int, k: int) -> list[tuple[int, bool, int]]:
+    """orbit_walk's blocks as sorted rows (size, self-conjugate, count)."""
+    walk = orbit_walk(n_prime, k)
+    rows = Counter((size, conj == j) for j, (size, conj)
+                   in enumerate(zip(walk["sizes"], walk["conjugate_block"])))
+    return sorted((size, self_conj, count) for (size, self_conj), count in rows.items())
+
+
+class TestOrbitTable:
+    def test_every_small_pair_is_the_partition_histogram(self):
+        for n in range(2, 400):
+            for k in range(1, n):
+                params = decompose(n, k)
+                part = eigen_partition(params)
+                keys, counts = np.unique(2 * part.sizes + part.self_conjugate,
+                                         return_counts=True)
+                want = [(int(key) // 2, bool(key % 2), int(c)) for key, c in zip(keys, counts)]
+                assert orbit_table(params) == want, (n, k)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 4096), k=st.integers(1, 4095), shared=st.sampled_from([1, 2, 3, 6]))
+    def test_random_pairs_match_orbit_walk(self, n, k, shared):
+        k, n = k * shared, n * shared  # shared > 1 puts common primes in (k, n)
+        assume(k % n)
+        params = decompose(n, k)
+        assert orbit_table(params) == walked_table(params.n_prime, params.k)
+
+    @pytest.mark.parametrize("k,n", [
+        (12345, 100001), (316, 99857), (4, 100042), (2, 100003),
+        (6, 2 * 3**9), (10, 2**4 * 5**6), (2, 3**10), (1, 97),
+        (6, 12)])  # n' = 1: Z_1 is one self-conjugate singleton
+    def test_structured_pairs_match_orbit_walk(self, k, n):
+        params = decompose(n, k)
+        assert orbit_table(params) == walked_table(params.n_prime, params.k)
+
+    def test_square_plus_one_q_is_the_four_block_count(self):
+        # the gumbel hypothesis reads q = n // 4 for the self-conjugate 4-blocks
+        for k in range(3, 448):
+            n = k * k + 1
+            rows = orbit_table(decompose(n, k))
+            assert n // 4 == sum(c for size, conj, c in rows if size == 4 and conj)
+            assert [size for size, _, _ in rows] == [1, 4] and rows[-1][1]
+
+    def test_cap_refused_with_the_partition_message(self):
+        with pytest.raises(ValueError, match=f"exceeds the orbit enumeration cap of {ORBIT_CAP}"):
+            orbit_table(decompose(10**12, 3))
+
+    def test_rows_sum_to_n_prime(self):
+        for n, k in [(2 * 3 * 5 * 7 * 11 * 13, 17), (2**17, 3), (199999, 2)]:
+            params = decompose(n, k)
+            assert sum(s * c for s, _, c in orbit_table(params)) == params.n_prime
+
+
 class TestCounting:
     def test_upsilon_examples(self):
-        assert structure(5, 1)[1].upsilon == 0
-        assert structure(7, 6)[1].upsilon == Fraction(1, 7)
-        assert structure(10, 3)[1].upsilon == Fraction(1, 5)
+        assert table_upsilon(decompose(5, 1)) == 0
+        assert table_upsilon(decompose(7, 6)) == Fraction(1, 7)
+        assert table_upsilon(decompose(10, 3)) == Fraction(1, 5)
 
     def test_lower_order_count_examples(self):
         assert lower_order_count_ie(decompose(10, 3)) == 2
@@ -192,7 +249,7 @@ class TestCounting:
                 if math.gcd(k, m) != 1:
                     continue
                 params = decompose(m, k)
-                direct = structure(m, k)[1].upsilon * m
+                direct = table_upsilon(params) * m
                 assert direct.denominator == 1
                 count = lower_order_count_ie(params)
                 assert count == direct.numerator
@@ -209,7 +266,7 @@ class TestCounting:
             n = k * k + 1
             part = structure(n, k)[1]
             expected = Fraction(2, n) if n % 2 == 0 else Fraction(1, n)
-            assert part.upsilon == expected and part.g1 == 4
+            assert table_upsilon(decompose(n, k)) == expected and part.g1 == 4
 
 
 class TestGcdPowerBound:

@@ -5,13 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     block_products,
     blocks_of,
     det_probe_oracle,
+    dft,
     dft_naive,
+    full_dft_polar,
     reference_formula_spectrum,
 )
 from kcirculant.limits import esd
@@ -24,7 +26,6 @@ from kcirculant.spectral import (
     as_input_sequence,
     build_matrix,
     dense_spectrum_oracle,
-    dft,
     export_spectrum_csv,
     formula_polar,
     formula_radius,
@@ -160,7 +161,7 @@ class TestBlockProducts:
         assert lam[0].real < 0 and lam[5].real < 0
         j0 = blocks_of(spectrum.partition).index((0,))
         j5 = blocks_of(spectrum.partition).index((5,))
-        prods = block_products(spectrum.dft, spectrum.params)
+        prods = block_products(lam, spectrum.params)
         assert prods[j0] == lam[0].real
         assert prods[j5] == lam[5].real
         eig0 = spectrum.eigenvalues[spectrum.block_index == j0][0]
@@ -208,7 +209,7 @@ class TestFormulaSpectrum:
         a[0] = 1.0
         spectrum = formula_spectrum(a, k, n)
         assert np.allclose(np.abs(spectrum.eigenvalues), 1.0)
-        assert np.allclose(block_products(spectrum.dft, spectrum.params), 1.0)
+        assert np.allclose(block_products(dft(a), spectrum.params), 1.0)
         # {1} union two sets of cube roots of unity
         cube = np.exp(2j * np.pi * np.arange(3) / 3)
         expected = np.concatenate([[1.0], cube, cube])
@@ -236,7 +237,7 @@ class TestFormulaSpectrum:
             a = rng.standard_normal(n)
             spectrum = formula_spectrum(a, k, n)
             ell = spectrum.partition.block_count
-            prods = block_products(spectrum.dft, spectrum.params)
+            prods = block_products(dft(a), spectrum.params)
             det_formula = (-1.0) ** (n + ell) * np.prod(prods)
             det_lu = np.linalg.det(build_matrix(a, k, n))
             assert det_lu == pytest.approx(det_formula.real, rel=1e-8)
@@ -245,7 +246,7 @@ class TestFormulaSpectrum:
         rng = np.random.default_rng(10)
         a = rng.standard_normal(10)
         spectrum = formula_spectrum(a, 3, 10)
-        prods = block_products(spectrum.dft, spectrum.params)
+        prods = block_products(dft(a), spectrum.params)
         for j, blk in enumerate(blocks_of(spectrum.partition)):
             roots = spectrum.eigenvalues[spectrum.block_index == j]
             assert roots.size == len(blk)
@@ -297,8 +298,7 @@ class TestStackedInputs:
         stacked = formula_spectrum(rows, k, n)
         for i, row in enumerate(rows):
             single = formula_spectrum(row, k, n)
-            for name in ("eigenvalues", "dft"):
-                assert np.array_equal(getattr(stacked, name)[i], getattr(single, name)), name
+            assert np.array_equal(stacked.eigenvalues[i], single.eigenvalues)
         assert stacked.zero_multiplicity == single.zero_multiplicity
         assert np.array_equal(stacked.block_index, single.block_index)
         assert np.array_equal(stacked.root_index, single.root_index)
@@ -366,10 +366,9 @@ class TestAssemblyBitForBit:
             k += 1
         a = INPUT_KINDS[kind](np.random.default_rng(seed), (rows, n) if rows else (n,))
         spectrum = formula_spectrum(a, k, n)
-        eigs, lam, block_index, root_index = reference_formula_spectrum(a, k, n)
+        eigs, block_index, root_index = reference_formula_spectrum(a, k, n)
         assert spectrum.eigenvalues.shape == eigs.shape
         assert np.array_equal(spectrum.eigenvalues.view(np.uint64), eigs.view(np.uint64))
-        assert np.array_equal(spectrum.dft.view(np.uint64), lam.view(np.uint64))
         for got, want in ((spectrum.block_index, block_index),
                           (spectrum.root_index, root_index)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -459,6 +458,66 @@ class TestFormulaPolar:
         for row, m, t in zip(a, moduli, angles):
             single = formula_polar(row, k, n)
             assert np.array_equal(m, single[0]) and np.array_equal(t, single[1])
+
+
+@st.composite
+def shared_factor_stacks(draw):
+    """(k, n, rows): gcd(k, n) > 1 and 1-3 Gaussian input rows."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = p * draw(st.integers(2, 256 // p))
+    k = p * draw(st.integers(1, n // p - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return k, n, rng.standard_normal((draw(st.integers(1, 3)), n))
+
+
+# |formula - full-DFT reference| / max|lambda_t| at gcd(k, n) > 1: at most 2.1e-15 over
+# all 30,884 such pairs with n < 400 (one Gaussian input each)
+TRANSFORM_BOUND = 64 * EPS
+
+
+class TestPeriodizedTransform:
+    """The formula reads lambda at the multiples of n/n' from the n'-point DFT of the input
+    summed mod n'. Against the same products read off all n DFT values (helpers.dft), that
+    moves last bits at gcd(k, n) > 1 and no bit at gcd(k, n) = 1."""
+
+    @staticmethod
+    def check_against_full_dft(k, n, a):
+        moduli, angles = full_dft_polar(a, k, n)
+        reference = moduli * np.exp(1j * angles)
+        bound = TRANSFORM_BOUND * np.abs(dft(a)).max(-1, keepdims=True)
+        spectrum = formula_spectrum(a, k, n)
+        zeros = spectrum.zero_multiplicity
+        assert zeros == n - spectrum.partition.n_prime
+        assert np.all(spectrum.eigenvalues[..., :zeros] == 0)
+        assert np.all(spectrum.eigenvalues[..., zeros:] != 0)  # exactly n - n' exact zeros
+        assert np.all(np.abs(spectrum.eigenvalues[..., zeros:] - reference) <= bound)
+        polar_mod, polar_arg = formula_polar(a, k, n)
+        assert np.all(np.abs(polar_mod * np.exp(1j * polar_arg) - reference) <= bound)
+        for row, row_bound, row_mod in zip(*map(np.atleast_2d, (a, bound, moduli))):
+            assert abs(formula_radius(row, k, n) - row_mod.max()) <= row_bound[0]
+
+    @PROPERTY
+    @given(case=shared_factor_stacks())
+    @example(case=STACK_EXAMPLES[0])
+    def test_shared_factors_match_full_dft(self, case):
+        self.check_against_full_dft(*case)
+
+    def test_every_small_shared_factor_pair(self):
+        for n in range(4, 128):
+            for k in range(2, n):
+                if math.gcd(k, n) > 1:
+                    a = np.random.default_rng([n, k]).standard_normal(n)
+                    self.check_against_full_dft(k, n, a)
+
+    @PROPERTY
+    @given(pair=k_n_pairs(), kind=st.sampled_from(sorted(INPUT_KINDS)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_coprime_is_the_full_dft_bit_for_bit(self, pair, kind, seed):
+        k, n = pair
+        assume(math.gcd(k, n) == 1)
+        a = INPUT_KINDS[kind](np.random.default_rng(seed), n)
+        for got, want in zip(formula_polar(a, k, n), full_dft_polar(a, k, n)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestKReduction:
