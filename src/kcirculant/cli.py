@@ -117,8 +117,8 @@ FIGURE_PRESETS = {
 }
 
 
-# spectrum's peak RSS at one --k 3 trial, n = 100003 and 1000003: CSV 66.0 and 327.5 MB, SVG
-# 75.0 and 414.1 MB. So 37 MB plus 291 bytes per n (CSV) or 377 per n * trials (SVG).
+# Peak RSS of one --k 3 spectrum trial at n = 100003 and 1000003: CSV 64.0 and 310.3 MB, SVG
+# 73.1 and 397.0 MB, bounded by 37 MB plus 291 bytes per n (CSV) or 377 per n * trials (SVG).
 SPECTRUM_N_CAP, SVG_POINTS_CAP = 3 * 10**6, 2 * 10**6
 
 

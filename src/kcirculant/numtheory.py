@@ -2,8 +2,8 @@
 
 Everything in this module is exact integer arithmetic, on Python ints and
 numpy integer arrays: the common-factor decomposition of (k, n), the orbits of
-t -> t*k (mod n') that partition Z_{n'}, orbit orders and conjugacy, and the
-table of block counts, which comes from the divisors of n' without a walk.
+t -> t*k (mod n') that partition Z_{n'} and the root layout read off them, orbit
+orders and conjugacy, and the table of block counts, from the divisors of n' without a walk.
 """
 
 from __future__ import annotations
@@ -124,46 +124,60 @@ def multiplicative_order(k: int, m: int) -> int:
     return order
 
 
-# Largest n' whose orbits are enumerated. The kernel peaks at about 56 bytes
-# per element (measured: 56 MB at n' = 10**6), so this cap bounds it near
-# 560 MB, and keeps t * k and label * n' far below 2**63 and n' below 2**31.
+# Largest n' whose orbits are enumerated. The walk peaks at about 56 bytes per element
+# (measured: 56 MB at n' = 10**6), and the root layout built after it keeps 9, so this cap
+# bounds the walk near 560 MB, and keeps t * k and label * n' far below 2**63 and n' below 2**31.
 ORBIT_CAP = 10**7
 
 
 @dataclass(frozen=True, eq=False)
 class EigenPartition:
-    """Partition of Z_{n'} into orbits of t -> t*k (mod n').
+    """Partition of Z_{n'} into orbits of t -> t*k (mod n'), and the root layout read off it.
 
     Blocks are listed by ascending smallest member, each ascending inside, so
     block 0 is {0}. members holds all blocks concatenated; block j is
     members[starts[j] : starts[j] + sizes[j]]. g1 is the orbit size of 1
-    (every other orbit size divides it). conjugate[j] is the index of the
-    block holding the reflections n' - t of block j; it equals j exactly for
-    blocks that are their own reflection.
+    (every other orbit size divides it). self_conjugate marks the blocks that
+    are their own reflection n' - t. The root layout (fold, mirror, root_rank) is
+    built at first use; every array is read-only, as the structure cache shares them.
     """
 
     n_prime: int
-    k: int
     members: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
     g1: int
-    conjugate: np.ndarray
+    self_conjugate: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.members, self.starts, self.sizes, self.conjugate):
-            arr.setflags(write=False)  # shared through the structure cache
+        for arr in (self.members, self.starts, self.sizes, self.self_conjugate):
+            arr.setflags(write=False)
 
     @cached_property
-    def self_conjugate(self) -> np.ndarray:
-        """Boolean mask of the blocks that are their own reflection."""
-        mask = self.conjugate == np.arange(self.conjugate.size)
-        mask.setflags(write=False)
-        return mask
+    def fold(self) -> np.ndarray:
+        """min(t, n' - t) per member: where it reads the half spectrum t = 0..n'//2 (int32)."""
+        t = self.members.astype(np.int32)
+        return _read_only(np.minimum(t, self.n_prime - t, out=t))
+
+    @cached_property
+    def mirror(self) -> np.ndarray:
+        """-1 on the members t > n'/2, which read the conjugate at their fold, else 1 (int8)."""
+        return _read_only(1 - 2 * (self.members > self.n_prime // 2).view(np.int8))
+
+    @cached_property
+    def root_rank(self) -> np.ndarray:
+        """Rank r = 0..n_j-1 of each root within its block, in eigenvalue order (int32)."""
+        starts = np.repeat(self.starts.astype(np.int32), self.sizes)
+        return _read_only(np.arange(self.n_prime, dtype=np.int32) - starts)
 
     @property
     def block_count(self) -> int:
         return int(self.sizes.size)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def _capped_n_prime(params: KCirculantParams) -> int:
@@ -173,12 +187,12 @@ def _capped_n_prime(params: KCirculantParams) -> int:
 
 
 def eigen_partition(params: KCirculantParams) -> EigenPartition:
-    """All orbits of multiplication by k on Z_{n'}, with conjugacy tags.
+    """All orbits of multiplication by k on Z_{n'}, each tagged self-conjugate or not.
 
     Labels each t with the smallest member of its orbit by pointer doubling:
     after round r, label[t] is the minimum over t*k^j for j < 2^(r+1), and
     ceil(log2 g1) rounds cover every orbit, since orbit sizes divide g1.
-    A stable sort by label then lists the blocks.
+    A stable sort by label then lists the blocks; one holding n' - min is self-conjugate.
     """
     m = _capped_n_prime(params)
     kp = params.k % m if m > 1 else 0
@@ -195,10 +209,8 @@ def eigen_partition(params: KCirculantParams) -> EigenPartition:
     starts = np.flatnonzero(np.diff(keys // m, prepend=-1))
     sizes = np.diff(starts, append=m)
     mins = members[starts]
-    # reflection is constant on blocks, so one representative suffices
-    conjugate = np.searchsorted(mins, label[(m - mins) % m])
-    return EigenPartition(n_prime=m, k=params.k, members=members, starts=starts,
-                          sizes=sizes, g1=g1, conjugate=conjugate)
+    return EigenPartition(n_prime=m, members=members, starts=starts, sizes=sizes, g1=g1,
+                          self_conjugate=label[(m - mins) % m] == mins)
 
 
 def orbit_table(params: KCirculantParams) -> list[tuple[int, bool, int]]:

@@ -7,8 +7,8 @@ shifted right by j*k factors as
 
 where Pi_j multiplies the input DFT over the j-th orbit of t -> t*k (mod n'): its values at
 the multiples of n/n', which are the n'-point DFT of the input summed mod n'. This module
-builds their per-orbit products in log form, the exact eigenvalues, also in polar form, and
-spectral radius, plus the dense matrix, eigensolver and matcher of the verify sweep.
+builds their per-orbit products in log form on numtheory.EigenPartition's root layout, the
+exact eigenvalues, also in polar form, spectral radius, and verify's dense oracle and matcher.
 """
 
 from __future__ import annotations
@@ -73,12 +73,10 @@ def _half_spectrum(a: np.ndarray, partition: EigenPartition) -> np.ndarray:
 
 def _log_moduli(half: np.ndarray, partition: EigenPartition) -> np.ndarray:
     """Per-block sums of log |lambda_t|, -inf at a zero, from _half_spectrum's values at
-    the fold min(t, n' - t) of each member t: |lambda_{n'-t}| = |lambda_t|."""
-    t = partition.members
+    each member's fold min(t, n' - t): |lambda_{n'-t}| = |lambda_t|."""
     with np.errstate(divide="ignore"):
         half_logs = np.log(np.abs(half))
-    return np.add.reduceat(half_logs.take(np.minimum(t, partition.n_prime - t), axis=-1),
-                           partition.starts, axis=-1)
+    return np.add.reduceat(half_logs.take(partition.fold, axis=-1), partition.starts, axis=-1)
 
 
 def _log_block_products(half: np.ndarray, partition: EigenPartition):
@@ -90,16 +88,16 @@ def _log_block_products(half: np.ndarray, partition: EigenPartition):
     an exact angle of 0 or pi, which keeps the root directions exactly on their grid.
     A block with some lambda_t == 0 gets log modulus -inf. Works row by row on a stack.
     """
-    m, starts, self_conj = partition.n_prime, partition.starts, partition.self_conjugate
-    arg = np.angle(half)
-    arg = np.concatenate([arg, -arg[..., (m - 1) // 2:0:-1]], axis=-1)  # every t, mirrored
-    theta = np.remainder(np.add.reduceat(arg.take(partition.members, -1), starts, axis=-1), TWO_PI)
+    starts, self_conj = partition.starts, partition.self_conjugate
+    arg = np.angle(half).take(partition.fold, -1)
+    arg *= partition.mirror  # exact, and far faster than a masked negative on this scatter
+    theta = np.remainder(np.add.reduceat(arg, starts, axis=-1), TWO_PI)
     theta[theta > math.pi] -= TWO_PI
     theta.T[self_conj] = 0.0  # block axis first: x[..., mask] is slow on one row
     # the self-conjugate singletons are exactly {0} and {n'/2}, whose real, possibly
-    # negative DFT values are the only sign carriers (and the only values read: clip)
+    # negative DFT values are the only sign carriers
     theta[self_conj & (partition.sizes == 1)
-          & (half.take(partition.members[starts], -1, mode="clip").real < 0)] = math.pi
+          & (half.take(partition.fold[starts], -1).real < 0)] = math.pi
     return _log_moduli(half, partition), theta
 
 
@@ -108,7 +106,7 @@ def _polar_roots(a: np.ndarray, partition: EigenPartition):
     log_mod, theta = _log_block_products(_half_spectrum(a, partition), partition)
     inv = 1.0 / partition.sizes
     ang = np.repeat(theta, partition.sizes, axis=-1)
-    ang += TWO_PI * _root_rank(partition)
+    ang += TWO_PI * partition.root_rank
     ang *= np.repeat(inv, partition.sizes)
     return np.repeat(np.exp(log_mod * inv), partition.sizes, axis=-1), ang
 
@@ -121,7 +119,7 @@ class SpectrumResult:
     each orbit block its n_j roots of Pi_j in root order r = 0..n_j-1. A stack
     of inputs gives eigenvalues one row per input; the rest is shared.
     block_index (-1 for structural zeros) and root_index label each eigenvalue;
-    both are computed when read.
+    both are computed when read, root_index from the partition's root_rank.
     """
 
     eigenvalues: np.ndarray
@@ -136,19 +134,7 @@ class SpectrumResult:
 
     @property
     def root_index(self) -> np.ndarray:
-        return np.concatenate([np.arange(self.zero_multiplicity), _root_rank(self.partition)])
-
-
-def _root_rank(partition: EigenPartition) -> np.ndarray:
-    """Rank r = 0..n_j-1 of each root within its block, in eigenvalue order."""
-    return np.arange(partition.n_prime) - np.repeat(partition.starts, partition.sizes)
-
-
-def _reduced_structure(n: int, k: int):
-    """structure(n, k mod n); k < 1 and k = 0 (mod n) get decompose's messages."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return structure(n, k % n or n)
+        return np.concatenate([np.arange(self.zero_multiplicity), self.partition.root_rank])
 
 
 def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
@@ -160,7 +146,7 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     per row, gives one row of eigenvalues per input.
     """
     a = as_input_sequence(a, rows=True, n=n)
-    params, partition = _reduced_structure(n, k)
+    params, partition = structure(n, k)
     modulus, ang = _polar_roots(a, partition)
     # no temporaries, and the bits of modulus * (cos + 1j * sin): no argument is -0.0
     eigs = np.zeros(a.shape[:-1] + (n,), complex)
@@ -175,7 +161,7 @@ def formula_polar(a, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """formula_spectrum's roots as (moduli, arguments), without its n - n' zeros or a complex
     root. A block's roots share one modulus; arguments lie in (-pi, 2*pi)."""
     a = as_input_sequence(a, rows=True, n=n)
-    return _polar_roots(a, _reduced_structure(n, k)[1])
+    return _polar_roots(a, structure(n, k)[1])
 
 
 def formula_radius(a, k: int, n: int) -> float:
@@ -186,7 +172,7 @@ def formula_radius(a, k: int, n: int) -> float:
     Agrees with the largest |eigenvalue| of formula_spectrum to a few ulp.
     """
     a = as_input_sequence(a, n=n)
-    partition = _reduced_structure(n, k)[1]
+    partition = structure(n, k)[1]
     log_mod = _log_moduli(_half_spectrum(a, partition), partition)
     return float(np.exp(log_mod * (1.0 / partition.sizes)).max())
 
@@ -289,10 +275,12 @@ def export_spectrum_csv(result: SpectrumResult, path, scale: float = 1.0,
     """Write eigenvalues as CSV rows re,im,block_index,root_index.
 
     Structural zeros carry block_index -1. Floats are serialized with repr,
-    so equal inputs produce byte-identical files.
+    so equal inputs produce byte-identical files. A stack of spectra is refused.
     """
-    lines = [] if append else ["re,im,block_index,root_index"]
     eig = result.eigenvalues * scale
+    if eig.ndim != 1:
+        raise ValueError(f"export_spectrum_csv takes one input's spectrum, not {len(eig)} rows")
+    lines = [] if append else ["re,im,block_index,root_index"]
     for z, b, r in zip(eig, result.block_index, result.root_index):
         lines.append(f"{float(z.real)!r},{float(z.imag)!r},{int(b)},{int(r)}")
     write_text(path, "\n".join(lines) + "\n", append)

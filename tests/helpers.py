@@ -2,7 +2,7 @@
 
 orbit_walk is the pure-Python enumeration of the orbits of t -> t*k (mod n')
 that the vectorized kcirculant.numtheory.eigen_partition is checked against,
-through the tuple views blocks_of and conjugate_block_of;
+through the tuple view blocks_of;
 lower_order_count_ie counts the elements in smaller orbits by
 inclusion-exclusion instead, and gcd_power_bound checks the gcd(k^b +- 1,
 k^c +- 1) bound of the counting lemmas, and table_upsilon reads upsilon off
@@ -62,8 +62,6 @@ from kcirculant.seeding import derive_trial_seed
 from kcirculant.spectral import (
     TWO_PI,
     _log_block_products,
-    _reduced_structure,
-    _root_rank,
     as_input_sequence,
     build_matrix,
     formula_spectrum,
@@ -113,8 +111,9 @@ def orbit_walk(n_prime: int, k: int) -> dict:
     """Walk every orbit of t -> t*k (mod n') one element at a time.
 
     Returns blocks (sorted tuples by ascending smallest member), sizes, g1,
-    conjugate_block and upsilon: what blocks_of and conjugate_block_of read
-    from an EigenPartition, and its sizes, g1 and upsilon.
+    conjugate_block (the index of the block holding each block's reflections
+    n' - t) and upsilon: what blocks_of reads from an EigenPartition, its sizes,
+    g1 and self_conjugate (conjugate_block[j] == j), and upsilon.
     """
     m = n_prime
     kp = k % m if m > 1 else 0
@@ -145,11 +144,6 @@ def orbit_walk(n_prime: int, k: int) -> dict:
 def blocks_of(partition: EigenPartition) -> tuple[tuple[int, ...], ...]:
     """The partition's blocks as tuples of members, in block order."""
     return tuple(tuple(b.tolist()) for b in np.split(partition.members, partition.starts[1:]))
-
-
-def conjugate_block_of(partition: EigenPartition) -> tuple[int, ...]:
-    """Index of the block holding the reflections of each block, as a tuple."""
-    return tuple(partition.conjugate.tolist())
 
 
 def lower_order_count_ie(params: KCirculantParams) -> int:
@@ -227,10 +221,11 @@ def half_of(lam: np.ndarray, partition: EigenPartition) -> np.ndarray:
 def full_dft_polar(a, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """formula_polar's (moduli, arguments) with the block products read off all n DFT
     values at the multiples of n/n', not off the n'-point DFT of the input summed mod n'."""
-    partition = _reduced_structure(n, k)[1]
+    partition = structure(n, k % n)[1]
     log_mod, theta = _log_block_products(half_of(dft(a), partition), partition)
     sizes, inv = partition.sizes, 1.0 / partition.sizes
-    ang = np.repeat(theta, sizes, axis=-1) + TWO_PI * _root_rank(partition)
+    rank = np.arange(partition.n_prime) - np.repeat(partition.starts, sizes)
+    ang = np.repeat(theta, sizes, axis=-1) + TWO_PI * rank
     return np.repeat(np.exp(log_mod * inv), sizes, axis=-1), ang * np.repeat(inv, sizes)
 
 
@@ -280,11 +275,12 @@ def reference_formula_spectrum(a, k: int, n: int):
     n' DFT values of the input summed mod n', per-root gathers, and one
     concatenate of zeros and roots.
 
-    Returns (eigenvalues, block_index, root_index); the library must
-    reproduce every bit of each.
+    Returns (eigenvalues, block_index, root_index, root moduli, root arguments),
+    the last two as formula_polar gives them; the library must reproduce every
+    bit of each.
     """
     a = as_input_sequence(a, rows=True)
-    params, partition = _reduced_structure(n, k)
+    params, partition = structure(n, k % n)
     m = params.n_prime
     lam = dft(a.reshape(a.shape[:-1] + (-1, m)).sum(-2) if m < n else a)  # library's fold
     idx = partition.members
@@ -309,7 +305,7 @@ def reference_formula_spectrum(a, k: int, n: int):
     eigs = np.concatenate([np.zeros(a.shape[:-1] + (zeros,), complex), roots], axis=-1)
     block_index = np.concatenate([np.full(zeros, -1, dtype=np.int64), j_of])
     root_index = np.concatenate([np.arange(zeros, dtype=np.int64), r])
-    return eigs, block_index, root_index
+    return eigs, block_index, root_index, root_mod, ang
 
 
 def reference_ks_radial(radii: np.ndarray, g: int) -> float:

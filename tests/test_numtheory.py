@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     blocks_of,
-    conjugate_block_of,
     gcd_power_bound,
     lower_order_count_ie,
     orbit_walk,
@@ -89,8 +88,8 @@ class TestEigenPartition:
         part = eigen_partition(decompose(7, 2))
         assert blocks_of(part) == ((0,), (1, 2, 4), (3, 5, 6))
         assert part.g1 == 3
-        assert conjugate_block_of(part) == (0, 2, 1)
-        assert not part.self_conjugate[1]
+        assert orbit_walk(7, 2)["conjugate_block"] == (0, 2, 1)
+        assert part.self_conjugate.tolist() == [True, False, False]
 
     def test_k3_n10(self):
         part = eigen_partition(decompose(10, 3))
@@ -105,6 +104,16 @@ class TestEigenPartition:
         assert blocks_of(part) == tuple((x,) for x in range(5))
         assert part.g1 == 1
 
+    def test_cached_arrays_are_read_only(self):
+        # the structure cache shares one partition: a write would corrupt later spectra
+        part = structure(360, 7)[1]
+        for name in ("members", "starts", "sizes", "self_conjugate", "fold", "mirror",
+                     "root_rank"):
+            arr = getattr(part, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
     def test_blocks_ordered_by_smallest_member(self):
         part = eigen_partition(decompose(101, 10))
         mins = [blk[0] for blk in blocks_of(part)]
@@ -118,6 +127,8 @@ class TestEigenPartition:
         part = eigen_partition(params)
         m = params.n_prime
         kp = params.k % m if m > 1 else 0
+        walked = orbit_walk(m, params.k)
+        assert blocks_of(part) == walked["blocks"]
         all_elements = [t for blk in blocks_of(part) for t in blk]
         assert sorted(all_elements) == list(range(m))        # totality + disjoint
         assert sum(part.sizes) == m
@@ -126,11 +137,12 @@ class TestEigenPartition:
             for t in blk:
                 assert t * kp % m in members                 # closure
             assert part.g1 % len(blk) == 0                   # orbit size divides g1
-            # conjugacy is all-or-nothing and symmetric
-            partner = conjugate_block_of(part)[j]
-            partner_set = set(blocks_of(part)[partner])
-            assert {(m - t) % m for t in blk} == partner_set
-            assert conjugate_block_of(part)[partner] == j
+            # conjugacy is all-or-nothing and symmetric: the reflections form the walked
+            # partner block, which is block j itself exactly when it is self-conjugate
+            partner = walked["conjugate_block"][j]
+            assert {(m - t) % m for t in blk} == set(blocks_of(part)[partner])
+            assert walked["conjugate_block"][partner] == j
+            assert part.self_conjugate[j] == (partner == j)
 
     def test_lower_order_subset_of_multiples(self):
         # every x of orbit size g satisfies x = 0 mod n'/gcd(k^g - 1, n')
@@ -151,9 +163,15 @@ def assert_matches_orbit_walk(n, k):
     want = orbit_walk(params.n_prime, params.k)
     assert blocks_of(part) == want["blocks"]
     assert tuple(part.sizes.tolist()) == want["sizes"]
-    assert conjugate_block_of(part) == want["conjugate_block"]
+    assert part.self_conjugate.tolist() == [c == j for j, c in enumerate(want["conjugate_block"])]
     assert part.g1 == want["g1"]
     assert table_upsilon(params) == want["upsilon"]
+    # the root layout: each member's half-spectrum index and sign, each root's rank
+    m, members = params.n_prime, [t for blk in want["blocks"] for t in blk]
+    assert part.fold.dtype == part.root_rank.dtype == np.int32 and part.mirror.dtype == np.int8
+    assert part.fold.tolist() == [min(t, m - t) for t in members]
+    assert part.mirror.tolist() == [-1 if 2 * t > m else 1 for t in members]
+    assert part.root_rank.tolist() == [r for blk in want["blocks"] for r in range(len(blk))]
 
 
 class TestEigenPartitionAgainstOrbitWalk:

@@ -354,7 +354,9 @@ INPUT_KINDS = {
 
 class TestAssemblyBitForBit:
     """The in-place assembly reproduces the first, concatenate-based one exactly:
-    all-ones and delta inputs put exact zeros, and so signed zeros, in the roots."""
+    all-ones and delta inputs put exact zeros, and so signed zeros, in the roots.
+    formula_polar's roots and formula_radius are checked against the same reference,
+    which reads all n' DFT values and none of the partition's root layout."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(n=st.integers(2, 512), k=st.integers(1, 1024), rows=st.sampled_from([0, 1, 3]),
@@ -366,12 +368,17 @@ class TestAssemblyBitForBit:
             k += 1
         a = INPUT_KINDS[kind](np.random.default_rng(seed), (rows, n) if rows else (n,))
         spectrum = formula_spectrum(a, k, n)
-        eigs, block_index, root_index = reference_formula_spectrum(a, k, n)
+        eigs, block_index, root_index, moduli, angles = reference_formula_spectrum(a, k, n)
         assert spectrum.eigenvalues.shape == eigs.shape
         assert np.array_equal(spectrum.eigenvalues.view(np.uint64), eigs.view(np.uint64))
         for got, want in ((spectrum.block_index, block_index),
                           (spectrum.root_index, root_index)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        for got, want in zip(formula_polar(a, k, n), (moduli, angles)):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for row, row_moduli in zip(np.atleast_2d(a), np.atleast_2d(moduli)):
+            assert formula_radius(row, k, n) == row_moduli.max()
 
 
 class TestFormulaRadius:
@@ -737,3 +744,9 @@ class TestExport:
         assert lines[0] == "re,im,block_index,root_index"
         assert len(lines) == 7
         assert sum(ln.split(",")[2] == "-1" for ln in lines[1:]) == 3
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_stack_is_refused(self, rows):
+        a = np.random.default_rng(17).standard_normal((rows, 6))
+        with pytest.raises(ValueError, match=f"one input's spectrum, not {rows} rows"):
+            export_spectrum_csv(formula_spectrum(a, 2, 6), io.StringIO())
