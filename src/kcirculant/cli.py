@@ -184,29 +184,29 @@ def cmd_spectrum(args) -> int:
                          f"{args.trials}: estimated peak memory {peak:.0f} MB")
     n = args.n
     scale = 1.0 / math.sqrt(n)
-    out = sys.stdout if args.out == "-" else args.out
-    points = []  # SVG only: each trial's scaled eigenvalues; CSV rows go out per trial
-    for t in range(args.trials):
-        a = _draw_input(args.law, derive_trial_seed(args.seed, t), n)
-        cloud = spectral.formula_spectrum(a, args.k, n)
-        if args.format == "svg":
-            points.append(cloud.eigenvalues * scale)
-        else:
+    spectra = (spectral.formula_spectrum(_draw_input(args.law, derive_trial_seed(args.seed, t), n),
+                                         args.k, n) for t in range(args.trials))
+    if args.format == "csv":  # rows go out per trial
+        out = sys.stdout if args.out == "-" else args.out
+        for t, cloud in enumerate(spectra):
             spectral.export_spectrum_csv(cloud, out, scale=scale, append=t > 0)
-    if args.format == "svg":
-        _write_text(args.out, _render_svg(np.concatenate(points),
-                                          f"k={args.k} n={n} law={args.law} "
-                                          f"trials={args.trials}"))
+        return EXIT_PASS
+    # only the scaled points outlive their trial: no spectrum or input is held while rendering
+    points = np.concatenate([cloud.eigenvalues * scale for cloud in spectra])
+    _write_text(args.out, _render_svg(points, f"k={args.k} n={n} law={args.law} "
+                                              f"trials={args.trials}"))
     return EXIT_PASS
 
 
-def _finish_experiment(report, out_path) -> int:
+def _finish_experiment(report, out_path, summary=None, details="") -> int:
+    """Write the report when asked, print the verdict line and details; the exit code."""
     if out_path:
         _write_text(out_path, report.to_json())
+    if summary is None:
+        summary = " ".join(f"{key}={val:.6g}" for key, val in sorted(report.aggregates.items())
+                           if isinstance(val, (int, float)) and not isinstance(val, bool))
     verdict = "PASS" if report.passed else "FAIL"
-    agg = " ".join(f"{key}={val:.6g}" for key, val in sorted(report.aggregates.items())
-                   if isinstance(val, (int, float)) and not isinstance(val, bool))
-    print(f"{verdict} {agg} wall={report.wall_clock_seconds:.2f}s")
+    print(f"{verdict} {summary} wall={report.wall_clock_seconds:.2f}s{details}")
     return EXIT_PASS if report.passed else EXIT_STAT_FAIL
 
 
@@ -257,19 +257,13 @@ def cmd_gumbel(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = montecarlo.oracle_sweep(args.nmax, args.samples, args.seed,
-                                     fuzz=args.fuzz)
-    if args.out:
-        _write_text(args.out, report.to_json())
+    report = montecarlo.oracle_sweep(args.nmax, args.samples, args.seed, fuzz=args.fuzz)
     agg = report.aggregates
-    verdict = "PASS" if report.passed else "FAIL"
-    print(f"{verdict} pairs={agg['pairs']} samples={agg['samples_per_pair']} "
-          f"max_distance={agg['max_distance']:.3e} failures={agg['failures']} "
-          f"wall={report.wall_clock_seconds:.2f}s")
-    for failure in agg["failure_list"][:20]:
-        print(f"  mismatch at n={failure['n']} k={failure['k']} "
-              f"distance={failure['max_distance']:.3e}")
-    return EXIT_PASS if report.passed else EXIT_STAT_FAIL
+    return _finish_experiment(
+        report, args.out, f"pairs={agg['pairs']} samples={agg['samples_per_pair']} "
+        f"max_distance={agg['max_distance']:.3e} failures={agg['failures']}",
+        "".join(f"\n  mismatch at n={f['n']} k={f['k']} distance={f['max_distance']:.3e}"
+                for f in agg["failure_list"][:20]))
 
 
 def cmd_tail(args) -> int:

@@ -1,10 +1,10 @@
 """Spectral-radius extreme-value machinery.
 
-The standard Gumbel CDF exp(-e^(-x)), the normalizing constants used to
-center and scale maxima of (E1*E2)^(1/4) variables, the tail probability
-P(E1*E2 > x) with its large-x asymptotic, and an i.i.d.-maximum reference
-sampler that serves as the convergence yardstick for spectral-radius
-experiments.
+The standard Gumbel CDF exp(-e^(-x)), the normalizing constants used to center and
+scale maxima of (E1*E2)^(1/4) variables, the tail probability P(E1*E2 > x) with its
+large-x asymptotic, an i.i.d.-maximum reference sampler that serves as the convergence
+yardstick for spectral-radius experiments, and the per-trial radii as CSV columns for
+_textio.write_csv.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import write_text
+from ._textio import write_csv
 from .limits import _k1e
 from .seeding import derive_trial_seed
 
@@ -115,11 +115,11 @@ def iid_max_reference(q: int, trials: int, master_seed: int) -> np.ndarray:
 def export_radii_csv(records, path) -> None:
     """Write per-trial radius records as CSV rows trial,seed,sp,standardized.
 
-    records is an iterable of dicts with those keys (experiment reports carry
-    one per trial). Floats use repr, so equal runs give byte-identical files.
+    records is an iterable of dicts with those keys (experiment reports carry one per
+    trial); seeds are 64-bit and may pass 2^63. _textio.write_csv writes floats as
+    their repr, so equal runs give byte-identical files.
     """
-    lines = ["trial,seed,sp,standardized"]
-    for rec in records:
-        lines.append(f"{int(rec['trial'])},{int(rec['seed'])},"
-                     f"{float(rec['sp'])!r},{float(rec['standardized'])!r}")
-    write_text(path, "\n".join(lines) + "\n")
+    records = list(records)
+    casts = {"trial": int, "seed": int, "sp": float, "standardized": float}
+    write_csv(path, ",".join(casts),
+              [[cast(rec[key]) for rec in records] for key, cast in casts.items()])

@@ -175,18 +175,17 @@ def esd(moduli: np.ndarray, angles: np.ndarray, n: int) -> tuple[np.ndarray, np.
     return moduli / math.sqrt(n), nonzero
 
 
-def _ks(f: np.ndarray) -> float:
-    """Two-sided KS distance of a sorted sample to the CDF values f at its points."""
-    steps = np.arange(f.size + 1) / f.size
-    return float(max((steps[1:] - f).max(), (f - steps[:-1]).max()))
-
-
 def ks_one_sample(values, cdf) -> float:
-    """Exact two-sided Kolmogorov-Smirnov distance to a CDF callable."""
+    """Exact two-sided Kolmogorov-Smirnov distance to a CDF callable. cdf gets each distinct
+    value once, sorted, so a CDF that reads its points in blocks (_radial_cdf) gives a value
+    the same result whatever its ties."""
     x = np.sort(np.asarray(values, dtype=float))
     if x.size == 0:
         raise ValueError("empty sample")
-    return _ks(np.asarray(cdf(x), dtype=float))
+    new = np.concatenate([[True], x[1:] != x[:-1]])  # first of each run of ties
+    f = np.asarray(cdf(x[new]), dtype=float)[np.cumsum(new) - 1]
+    steps = np.arange(f.size + 1) / f.size
+    return float(max((steps[1:] - f).max(), (f - steps[:-1]).max()))
 
 
 def ks_two_sample(a, b) -> float:
@@ -203,11 +202,7 @@ def ks_two_sample(a, b) -> float:
 
 def ks_radial(radii: np.ndarray, g: int) -> float:
     """KS distance of the moduli radii to the product radius law of g."""
-    radii = np.sort(radii)
-    if radii.size == 0:
-        raise ValueError("empty sample")
-    new = np.concatenate([[True], radii[1:] != radii[:-1]])  # first of each run of ties
-    return _ks(_radial_cdf(g, radii[new])[np.cumsum(new) - 1])
+    return ks_one_sample(radii, functools.partial(_radial_cdf, g))
 
 
 def grid_deviation(angles: np.ndarray, g: int) -> float:

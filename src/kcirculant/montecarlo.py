@@ -1,9 +1,9 @@
 """Experiment orchestration: the table of experiment kinds, trial sweeps, reports.
 
-KINDS has one row per theorem an experiment checks. One loop runs every row:
-it checks the hypothesis (and echoes the concrete congruence data for audit),
-then runs independent trials from pre-derived seeds, one after another in
-index order. Reports are deterministic given the master seed.
+KINDS has one row per theorem an experiment checks. One loop runs every row: it checks
+the hypothesis (and echoes the concrete congruence data for audit), then runs independent
+trials from pre-derived seeds, one after another in index order. Reports are deterministic
+given the master seed; to_json writes them as they are, with no converted copy.
 """
 
 from __future__ import annotations
@@ -114,28 +114,23 @@ class ExperimentReport:
         payload = {"config": self.config, "hypothesis": self.hypothesis,
                    "trials": self.trials, "aggregates": self.aggregates,
                    "pass": self.passed}
-        return json.dumps(_jsonify(payload), sort_keys=True, indent=2,
-                          allow_nan=False) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False,
+                          default=_json_value) + "\n"
+
+
+def _json_value(obj):
+    """json.dumps' hook: a Fraction as its exact text, numpy values as Python ones."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _require_finite(values: dict) -> None:
     for key, val in values.items():
         if not math.isfinite(val):
             raise ValueError(f"{key} must be a finite number, got {val!r}")
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(key): _jsonify(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(val) for val in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, np.generic):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(val) for val in obj.tolist()]
-    return obj
 
 
 def _require_coprime(k: int, n: int) -> None:

@@ -5,10 +5,10 @@ shifted right by j*k factors as
 
     lambda^(n - n') * prod_j (lambda^(n_j) - Pi_j)
 
-where Pi_j multiplies the input DFT over the j-th orbit of t -> t*k (mod n'): its values at
-the multiples of n/n', which are the n'-point DFT of the input summed mod n'. This module
-builds their per-orbit products in log form on numtheory.EigenPartition's root layout, the
-exact eigenvalues, also in polar form, spectral radius, and verify's dense oracle and matcher.
+where Pi_j multiplies the input DFT over the j-th orbit of t -> t*k (mod n'): its values at the
+multiples of n/n', the n'-point DFT of the input summed mod n'. This module builds their
+per-orbit products in log form on numtheory.EigenPartition's root layout, the exact eigenvalues
+(also in polar form), spectral radius, verify's dense oracle and matcher, and the CSV columns.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import write_text
+from ._textio import write_csv
 from .numtheory import KCirculantParams, EigenPartition, structure
 
 __all__ = [
@@ -272,15 +272,13 @@ def spectra_match(s1, s2, tol: float) -> tuple[float, bool, np.ndarray]:
 
 def export_spectrum_csv(result: SpectrumResult, path, scale: float = 1.0,
                         append: bool = False) -> None:
-    """Write eigenvalues as CSV rows re,im,block_index,root_index.
+    """Write eigenvalues as CSV rows re,im,block_index,root_index with _textio.write_csv.
 
-    Structural zeros carry block_index -1. Floats are serialized with repr,
-    so equal inputs produce byte-identical files. A stack of spectra is refused.
+    Structural zeros carry block_index -1. Floats are written as their repr, so equal
+    inputs produce byte-identical files. A stack of spectra is refused.
     """
     eig = result.eigenvalues * scale
     if eig.ndim != 1:
         raise ValueError(f"export_spectrum_csv takes one input's spectrum, not {len(eig)} rows")
-    lines = [] if append else ["re,im,block_index,root_index"]
-    for z, b, r in zip(eig, result.block_index, result.root_index):
-        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{int(b)},{int(r)}")
-    write_text(path, "\n".join(lines) + "\n", append)
+    write_csv(path, "re,im,block_index,root_index",
+              [eig.real, eig.imag, result.block_index, result.root_index], append)

@@ -46,7 +46,7 @@ import numpy as np
 import scipy.integrate
 
 from kcirculant import spectral
-from kcirculant._textio import write_text
+from kcirculant._textio import write_csv
 from kcirculant.extremes import normalization, standardize_radius
 from kcirculant.limits import DEGENERATE_RADIUS, _radial_cdf
 from kcirculant.montecarlo import ExperimentReport
@@ -418,10 +418,7 @@ def lsd_sample(g: int | None, count: int, rng: np.random.Generator, *,
 def export_points_csv(points, tags, path) -> None:
     """Write a point cloud as CSV rows re,im,tag (repr floats, reproducible)."""
     points = np.asarray(points, dtype=complex)
-    lines = ["re,im,tag"]
-    for z, tag in zip(points, tags):
-        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{tag}")
-    write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, "re,im,tag", [points.real, points.imag, list(tags)])
 
 
 def bessel_i1(z: float) -> float:

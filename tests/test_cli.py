@@ -610,6 +610,6 @@ class TestPackageSurface:
         gone = ["dft_naive", "DetProbe", "det_probe_oracle", "block_products",
                 "lower_order_count_ie", "gcd_power_bound", "lsd_sample",
                 "export_points_csv", "orbit", "upsilon", "radial_tail",
-                "lsd_radial_cdf", "spectral_radius"]
+                "lsd_radial_cdf", "spectral_radius", "_jsonify"]
         assert [name for name in gone
                 if any(hasattr(owner, name) for owner in [kcirculant, *modules])] == []
