@@ -1,12 +1,12 @@
-"""The one text writer behind the CSV exporters and the command line. write_csv is the
-only CSV row formatter: a cell is the str of a Python int, float or str (a float's str is
-its repr), and numpy columns go through tolist(), so no numpy scalar's text reaches a file."""
+"""The one text writer behind the exporters and the command line. write_rows formats every
+CSV and SVG row; a CSV cell is the str of a Python int, float or str (a float's repr), and
+numpy columns go through tolist(), so no numpy scalar's text reaches a file."""
 
 from __future__ import annotations
 
 import numpy as np
 
-_CSV_ROWS = 1 << 16  # rows formatted per write: bounds the text held at once
+_ROWS = 1 << 16  # rows formatted per write: bounds the text held at once
 
 
 def write_text(path, data: str, append: bool = False) -> None:
@@ -18,14 +18,16 @@ def write_text(path, data: str, append: bool = False) -> None:
         fh.write(data)
 
 
-def write_csv(path, header: str, columns, append: bool = False) -> None:
-    """Write the header line, unless appending, then one row per index of columns:
-    equal-length numpy arrays or lists of Python ints, floats and strs."""
+def write_rows(path, header: str, columns, append: bool = False, row: str | None = None) -> None:
+    """Write the header line, unless appending, then one line per index of columns:
+    equal-length numpy arrays or lists of Python ints, floats and strs. A line is the
+    template row % its cells, by default "%s,%s,...": their str joined by commas (CSV)."""
     if len({len(column) for column in columns}) > 1:
-        raise ValueError(f"CSV columns differ in length: {[len(c) for c in columns]}")
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
     if not append:
         write_text(path, header + "\n")
-    for lo in range(0, len(columns[0]), _CSV_ROWS):
-        cells = [map(str, c[lo:lo + _CSV_ROWS].tolist() if isinstance(c, np.ndarray)
-                     else c[lo:lo + _CSV_ROWS]) for c in columns]
-        write_text(path, "\n".join(map(",".join, zip(*cells))) + "\n", append=True)
+    row = row or ",".join(["%s"] * len(columns))
+    for lo in range(0, len(columns[0]), _ROWS):
+        cells = [c[lo:lo + _ROWS].tolist() if isinstance(c, np.ndarray) else c[lo:lo + _ROWS]
+                 for c in columns]
+        write_text(path, "\n".join(map(row.__mod__, zip(*cells))) + "\n", append=True)

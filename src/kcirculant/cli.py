@@ -15,13 +15,12 @@ import functools
 import math
 import shutil
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import extremes, montecarlo, spectral
-from ._textio import write_text
-from .numtheory import decompose, orbit_table
+from ._textio import write_rows, write_text
+from .numtheory import decompose, orbit_summary
 from .seeding import INPUT_LAWS, LAW_ALIASES, derive_trial_seed, input_law
 
 EXIT_PASS = 0
@@ -71,37 +70,29 @@ def _config_tokens(path: str) -> list[str]:
 
 def cmd_partition(args) -> int:
     params = decompose(args.n, args.k)
-    rows = orbit_table(params)  # every orbit size divides the last row's, g1
-    hist = {size: sum(c for s, _, c in rows if s == size) for size, _, _ in rows}
-    g1, blocks, self_conj = rows[-1][0], sum(hist.values()), sum(c for _, sc, c in rows if sc)
-    ups = Fraction(sum(size * count for size, count in hist.items() if size < g1), params.n_prime)
+    orbits = orbit_summary(params)
+    hist, blocks, self_conj = orbits.histogram, orbits.blocks, orbits.self_conjugate
     if args.json:
         import json
-        payload = {
-            "n": params.n, "k": params.k, "n_prime": params.n_prime,
-            "k_prime": params.k_prime,
+        print(json.dumps({
+            "n": params.n, "k": params.k, "n_prime": params.n_prime, "k_prime": params.k_prime,
             "common_primes": [{"p": p, "alpha": a, "beta": b}
                               for p, a, b in params.common_primes],
             "zero_multiplicity": params.zero_multiplicity,
-            "g1": g1, "blocks": blocks,
-            "upsilon": str(ups),
-            "size_histogram": {str(size): hist[size] for size in sorted(hist)},
-            "self_conjugate_blocks": self_conj,
-            "paired_blocks": blocks - self_conj,
-        }
-        print(json.dumps(payload, sort_keys=True, indent=2))
+            "g1": orbits.g1, "blocks": blocks, "upsilon": str(orbits.upsilon),
+            "size_histogram": {str(size): count for size, count in hist.items()},
+            "self_conjugate_blocks": self_conj, "paired_blocks": blocks - self_conj,
+        }, sort_keys=True, indent=2))
         return EXIT_PASS
     common = " ".join(f"{p}^{b}|n,{p}^{a}|k" for p, a, b in params.common_primes) or "none"
     print(f"n={params.n} k={params.k} n'={params.n_prime} k'={params.k_prime} "
           f"common_primes={common}")
     if params.zero_multiplicity:
-        print(f"zero_multiplicity={params.zero_multiplicity} "
-              f"(eigenvalue 0 appears n - n' times)")
-    print(f"g1={g1} blocks={blocks} upsilon={ups}")
-    sizes = " ".join(f"{size}x{hist[size]}" for size in sorted(hist))
+        print(f"zero_multiplicity={params.zero_multiplicity} (eigenvalue 0 appears n - n' times)")
+    print(f"g1={orbits.g1} blocks={blocks} upsilon={orbits.upsilon}")
+    sizes = " ".join(f"{size}x{count}" for size, count in hist.items())
     print(f"block sizes (size x count): {sizes}")
-    print(f"conjugacy: {self_conj} self-conjugate, "
-          f"{blocks - self_conj} paired")
+    print(f"conjugacy: {self_conj} self-conjugate, {blocks - self_conj} paired")
     return EXIT_PASS
 
 
@@ -117,9 +108,9 @@ FIGURE_PRESETS = {
 }
 
 
-# Peak RSS of one --k 3 spectrum trial at n = 100003 and 1000003: CSV 64.0 and 310.3 MB, SVG
-# 73.1 and 397.0 MB, bounded by 37 MB plus 291 bytes per n (CSV) or 377 per n * trials (SVG).
-SPECTRUM_N_CAP, SVG_POINTS_CAP = 3 * 10**6, 2 * 10**6
+# Caps the points a run holds: n for CSV, n * trials for SVG. Peak RSS at --k 3 is under 50 MB
+# + 160 B a point: CSV 61.7/197.1/517.6 MB at n = 1e5/1e6/3e6, SVG 171.6-225.5 MB at 3e6 points.
+SPECTRUM_N_CAP = 3 * 10**6
 
 
 def _draw_input(law_name: str, seed: int, n: int) -> np.ndarray:
@@ -128,20 +119,18 @@ def _draw_input(law_name: str, seed: int, n: int) -> np.ndarray:
     return input_law(law_name).sample(np.random.default_rng(seed), n)
 
 
-def _render_svg(points: np.ndarray, title: str) -> str:
-    size = 640
-    margin = 40
-    lim = max(1.0, float(np.abs(points.real).max(initial=0.0)),
-              float(np.abs(points.imag).max(initial=0.0))) * 1.05
+def _write_svg(out, points: np.ndarray, title: str) -> None:
+    size, margin = 640, 40
+    lim = max(1.0, float(np.abs(points.real).max()), float(np.abs(points.imag).max())) * 1.05
     span = size - 2 * margin
 
-    def sx(v: float) -> float:
+    def sx(v):
         return margin + (v + lim) / (2 * lim) * span
 
-    def sy(v: float) -> float:
+    def sy(v):
         return size - margin - (v + lim) / (2 * lim) * span
 
-    parts = [
+    header = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white"/>',
@@ -152,16 +141,13 @@ def _render_svg(points: np.ndarray, title: str) -> str:
         f'<line x1="{sx(0):.2f}" y1="{sy(-lim):.2f}" x2="{sx(0):.2f}" '
         f'y2="{sy(lim):.2f}" stroke="#cccccc" stroke-width="1"/>',
         f'<text x="{margin}" y="{margin - 10}" font-size="14">{title}</text>',
-        f'<text x="{margin - 4}" y="{sy(0):.2f}" font-size="10" '
-        f'text-anchor="end">0</text>',
+        f'<text x="{margin - 4}" y="{sy(0):.2f}" font-size="10" text-anchor="end">0</text>',
         f'<text x="{sx(lim):.2f}" y="{size - margin + 16}" font-size="10" '
         f'text-anchor="end">{lim:.2f}</text>',
     ]
-    for z in points:
-        parts.append(f'<circle cx="{sx(z.real):.3f}" cy="{sy(z.imag):.3f}" '
-                     f'r="1.5" fill="black" fill-opacity="0.35"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    write_rows(out, "\n".join(header), [sx(points.real), sy(points.imag)],
+               row='<circle cx="%.3f" cy="%.3f" r="1.5" fill="black" fill-opacity="0.35"/>')
+    write_text(out, "</svg>\n", append=True)
 
 
 def cmd_spectrum(args) -> int:
@@ -172,29 +158,26 @@ def cmd_spectrum(args) -> int:
     if args.k is None or args.n is None:
         raise ValueError("spectrum needs --k and --n (or --preset)")
     args.law = args.law or "gaussian"  # --law choices are all non-empty
-    if args.trials is None:
-        args.trials = 1
+    args.trials = 1 if args.trials is None else args.trials
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
-    points = args.n * args.trials if args.format == "svg" else args.n  # the peak grows with it
-    if not 2 <= args.n <= SPECTRUM_N_CAP or args.format == "svg" and points > SVG_POINTS_CAP:
-        peak = 37 + points * (377 if args.format == "svg" else 291) / 1e6  # MB, fit above
+    points = args.n * args.trials if args.format == "svg" else args.n  # held at once
+    if not 2 <= args.n or points > SPECTRUM_N_CAP:
         raise ValueError(f"--n must be between 2 and the spectrum cap {SPECTRUM_N_CAP}, and n * "
-                         f"trials at most {SVG_POINTS_CAP} for SVG; got n = {args.n}, trials = "
-                         f"{args.trials}: estimated peak memory {peak:.0f} MB")
-    n = args.n
-    scale = 1.0 / math.sqrt(n)
+                         f"trials at most that for SVG; got n = {args.n}, trials = "
+                         f"{args.trials}: estimated peak memory {50 + points * 160 / 1e6:.0f} MB")
+    n, scale = args.n, 1.0 / math.sqrt(args.n)
+    out = sys.stdout if args.out == "-" else args.out
     spectra = (spectral.formula_spectrum(_draw_input(args.law, derive_trial_seed(args.seed, t), n),
                                          args.k, n) for t in range(args.trials))
     if args.format == "csv":  # rows go out per trial
-        out = sys.stdout if args.out == "-" else args.out
         for t, cloud in enumerate(spectra):
             spectral.export_spectrum_csv(cloud, out, scale=scale, append=t > 0)
         return EXIT_PASS
-    # only the scaled points outlive their trial: no spectrum or input is held while rendering
-    points = np.concatenate([cloud.eigenvalues * scale for cloud in spectra])
-    _write_text(args.out, _render_svg(points, f"k={args.k} n={n} law={args.law} "
-                                              f"trials={args.trials}"))
+    cloud = np.empty(points, complex)  # the scaled points; no spectrum outlives its trial
+    for t, result in enumerate(spectra):
+        np.multiply(result.eigenvalues, scale, out=cloud[t * n:(t + 1) * n])
+    _write_svg(out, cloud, f"k={args.k} n={n} law={args.law} trials={args.trials}")
     return EXIT_PASS
 
 

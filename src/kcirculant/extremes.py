@@ -4,7 +4,7 @@ The standard Gumbel CDF exp(-e^(-x)), the normalizing constants used to center a
 scale maxima of (E1*E2)^(1/4) variables, the tail probability P(E1*E2 > x) with its
 large-x asymptotic, an i.i.d.-maximum reference sampler that serves as the convergence
 yardstick for spectral-radius experiments, and the per-trial radii as CSV columns for
-_textio.write_csv.
+_textio.write_rows.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import write_csv
+from ._textio import write_rows
 from .limits import _k1e
 from .seeding import derive_trial_seed
 
@@ -116,10 +116,10 @@ def export_radii_csv(records, path) -> None:
     """Write per-trial radius records as CSV rows trial,seed,sp,standardized.
 
     records is an iterable of dicts with those keys (experiment reports carry one per
-    trial); seeds are 64-bit and may pass 2^63. _textio.write_csv writes floats as
+    trial); seeds are 64-bit and may pass 2^63. _textio.write_rows writes floats as
     their repr, so equal runs give byte-identical files.
     """
     records = list(records)
     casts = {"trial": int, "seed": int, "sp": float, "standardized": float}
-    write_csv(path, ",".join(casts),
-              [[cast(rec[key]) for rec in records] for key, cast in casts.items()])
+    write_rows(path, ",".join(casts),
+               [[cast(rec[key]) for rec in records] for key, cast in casts.items()])

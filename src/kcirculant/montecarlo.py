@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import extremes, limits, spectral
-from .numtheory import decompose, factorize, orbit_table
+from .numtheory import decompose, factorize, orbit_summary
 from .seeding import INPUT_LAWS, InputLaw, derive_trial_seed, input_law
 
 __all__ = [
@@ -140,9 +140,8 @@ def _require_coprime(k: int, n: int) -> None:
 
 def _orbit_echo(k: int, n: int) -> dict:
     """The actual g1 and lower-order fraction upsilon of multiplication by k mod n."""
-    rows = orbit_table(decompose(n, k))  # every orbit size divides the last row's, g1
-    upsilon = Fraction(sum(size * count for size, _, count in rows if size < rows[-1][0]), n)
-    return {"g1": rows[-1][0], "upsilon": float(upsilon), "upsilon_exact": upsilon}
+    orbits = orbit_summary(decompose(n, k))
+    return {"g1": orbits.g1, "upsilon": float(orbits.upsilon), "upsilon_exact": orbits.upsilon}
 
 
 def _congruence(sign: int):
@@ -192,9 +191,8 @@ def _square_plus_one(config: ExperimentConfig) -> dict:
     if n != k * k + 1:
         raise HypothesisError(f"spectral-radius experiments need n = k^2 + 1; "
                               f"got k={k}, n={n} (k^2+1 = {k * k + 1})")
-    rows = orbit_table(decompose(n, k))
-    return {"q": n // 4, "g1": rows[-1][0],
-            "four_blocks": sum(count for size, _, count in rows if size == 4)}
+    orbits = orbit_summary(decompose(n, k))
+    return {"q": n // 4, "g1": orbits.g1, "four_blocks": orbits.histogram.get(4, 0)}
 
 
 def _gumbel_fit(trials: list[dict], config: ExperimentConfig, hypothesis: dict) -> dict:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "multiplicative_order",
     "eigen_partition",
     "orbit_table",
+    "orbit_summary",
     "structure",
 ]
 
@@ -228,6 +230,26 @@ def orbit_table(params: KCirculantParams) -> list[tuple[int, bool, int]]:
         row = order, m <= 2 or order % 2 == 0 and pow(params.k, order // 2, m) == m - 1
         counts[row] = counts.get(row, 0) + phi // order
     return sorted((*row, count) for row, count in counts.items())
+
+
+@dataclass(frozen=True)
+class OrbitSummary:
+    """What orbit_summary returns."""
+
+    g1: int  # the largest block size; every size divides it
+    blocks: int
+    self_conjugate: int  # blocks that are their own reflection
+    histogram: dict[int, int]  # block count per size, in ascending size
+    upsilon: Fraction  # fraction of Z_{n'} in blocks smaller than g1
+
+
+def orbit_summary(params: KCirculantParams) -> OrbitSummary:
+    """orbit_table's rows summed up: the one reduction the commands and hypotheses read."""
+    rows = orbit_table(params)
+    hist = {size: sum(c for s, _, c in rows if s == size) for size, _, _ in rows}
+    g1 = rows[-1][0]
+    return OrbitSummary(g1, sum(hist.values()), sum(c for _, conj, c in rows if conj), hist,
+                        Fraction(params.n_prime - g1 * hist[g1], params.n_prime))
 
 
 @lru_cache(maxsize=64)

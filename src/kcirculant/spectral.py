@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import write_csv
+from ._textio import write_rows
 from .numtheory import KCirculantParams, EigenPartition, structure
 
 __all__ = [
@@ -272,7 +272,7 @@ def spectra_match(s1, s2, tol: float) -> tuple[float, bool, np.ndarray]:
 
 def export_spectrum_csv(result: SpectrumResult, path, scale: float = 1.0,
                         append: bool = False) -> None:
-    """Write eigenvalues as CSV rows re,im,block_index,root_index with _textio.write_csv.
+    """Write eigenvalues as CSV rows re,im,block_index,root_index with _textio.write_rows.
 
     Structural zeros carry block_index -1. Floats are written as their repr, so equal
     inputs produce byte-identical files. A stack of spectra is refused.
@@ -280,5 +280,5 @@ def export_spectrum_csv(result: SpectrumResult, path, scale: float = 1.0,
     eig = result.eigenvalues * scale
     if eig.ndim != 1:
         raise ValueError(f"export_spectrum_csv takes one input's spectrum, not {len(eig)} rows")
-    write_csv(path, "re,im,block_index,root_index",
-              [eig.real, eig.imag, result.block_index, result.root_index], append)
+    write_rows(path, "re,im,block_index,root_index",
+               [eig.real, eig.imag, result.block_index, result.root_index], append)

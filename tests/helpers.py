@@ -5,8 +5,7 @@ that the vectorized kcirculant.numtheory.eigen_partition is checked against,
 through the tuple view blocks_of;
 lower_order_count_ie counts the elements in smaller orbits by
 inclusion-exclusion instead, and gcd_power_bound checks the gcd(k^b +- 1,
-k^c +- 1) bound of the counting lemmas, and table_upsilon reads upsilon off
-kcirculant.numtheory.orbit_table. dft is all n DFT values from the real FFT
+k^c +- 1) bound of the counting lemmas. dft is all n DFT values from the real FFT
 and dft_naive the O(n^2) DFT, the full-length references of the library's
 n'-point transform of the input summed mod n'; block_products is the complex
 per-orbit products Pi_j and full_dft_polar the polar roots, both read off a
@@ -46,7 +45,7 @@ import numpy as np
 import scipy.integrate
 
 from kcirculant import spectral
-from kcirculant._textio import write_csv
+from kcirculant._textio import write_rows
 from kcirculant.extremes import normalization, standardize_radius
 from kcirculant.limits import DEGENERATE_RADIUS, _radial_cdf
 from kcirculant.montecarlo import ExperimentReport
@@ -55,7 +54,6 @@ from kcirculant.numtheory import (
     KCirculantParams,
     factorize,
     multiplicative_order,
-    orbit_table,
     structure,
 )
 from kcirculant.seeding import derive_trial_seed
@@ -170,13 +168,6 @@ def lower_order_count_ie(params: KCirculantParams) -> int:
         term = math.gcd(pow(kp, g1 // ell, m) - 1, m)
         total += term if bits % 2 else -term
     return total
-
-
-def table_upsilon(params: KCirculantParams) -> Fraction:
-    """Fraction of Z_{n'} in orbits smaller than g1, read off orbit_table's rows."""
-    rows = orbit_table(params)
-    return Fraction(sum(size * count for size, _, count in rows if size < rows[-1][0]),
-                    params.n_prime)
 
 
 def gcd_power_bound(k: int, b: int, c: int, sign_b: int, sign_c: int) -> tuple[int, int, bool]:
@@ -418,7 +409,7 @@ def lsd_sample(g: int | None, count: int, rng: np.random.Generator, *,
 def export_points_csv(points, tags, path) -> None:
     """Write a point cloud as CSV rows re,im,tag (repr floats, reproducible)."""
     points = np.asarray(points, dtype=complex)
-    write_csv(path, "re,im,tag", [points.real, points.imag, list(tags)])
+    write_rows(path, "re,im,tag", [points.real, points.imag, list(tags)])
 
 
 def bessel_i1(z: float) -> float:

@@ -19,7 +19,6 @@ from helpers import (
     kbar_closed_form,
     kcirc,
     lower_order_count_ie,
-    table_upsilon,
 )
 from kcirculant.montecarlo import (
     DEFAULT_MASTER_SEED,
@@ -64,7 +63,7 @@ def test_criterion_2_counting_lemmas():
         coprime = [k for k in range(1, m) if math.gcd(k, m) == 1]
         for k in rnd.sample(coprime, min(20, len(coprime))):
             params = decompose(m if m > 1 else 2, k)
-            direct = table_upsilon(params) * m
+            direct = kc.orbit_summary(params).upsilon * m
             assert direct.denominator == 1
             count = lower_order_count_ie(params)
             assert count == direct.numerator, (m, k)

@@ -10,7 +10,7 @@ import pytest
 import kcirculant
 from helpers import kcirc, run_python
 from kcirculant import extremes, limits, montecarlo, numtheory, spectral
-from kcirculant.cli import SPECTRUM_N_CAP, SVG_POINTS_CAP, build_parser, main
+from kcirculant.cli import SPECTRUM_N_CAP, build_parser, main
 
 
 class TestPartition:
@@ -52,7 +52,7 @@ class TestPartition:
     @pytest.mark.parametrize("k, n", [(3, 10), (2, 6), (12, 18), (6, 12), (5, 2000),
                                       (100, 10001), (2, 131071), (4, 100042)])
     def test_json_counts_are_the_walked_partition(self, k, n, capsys):
-        # partition reads numtheory.orbit_table; eigen_partition's arrays must agree
+        # partition reads numtheory.orbit_summary; eigen_partition's arrays must agree
         assert main(["partition", "--k", str(k), "--n", str(n), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         part = numtheory.structure(n, k)[1]
@@ -122,10 +122,10 @@ class TestSpectrum:
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("argv, peak", [
-        # one above each cap; neither is ever run at the cap itself
-        (["--n", str(SPECTRUM_N_CAP + 1)], "estimated peak memory 910 MB"),
-        (["--n", "1000", "--trials", str(SVG_POINTS_CAP // 1000 + 1), "--format", "svg"],
-         "estimated peak memory 791 MB"),
+        # one point above the cap, n for CSV and n * trials for SVG; never run at the cap
+        (["--n", str(SPECTRUM_N_CAP + 1)], "estimated peak memory 530 MB"),
+        (["--n", "3517", "--trials", "853", "--format", "svg"],  # 3517 * 853 = cap + 1
+         "estimated peak memory 530 MB"),
     ])
     def test_memory_caps_are_usage_errors(self, argv, peak, tmp_path):
         path = tmp_path / "cloud.out"
@@ -439,7 +439,7 @@ class TestOneOrbitWalkPerCommand:
     @pytest.mark.parametrize("argv, expected", [
         (["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--trials", "2"], 1),
         (["gumbel", "--kk", "4", "--trials", "8"], 1),
-        (["partition", "--k", "3", "--n", "10"], 0),  # it reads numtheory.orbit_table
+        (["partition", "--k", "3", "--n", "10"], 0),  # it reads numtheory.orbit_summary
         (["partition", "--k", "12", "--n", "18", "--json"], 0),
         # k = 13 walks the orbits of k mod n = 3 (lsd refuses k >= n outright)
         (["spectrum", "--k", "13", "--n", "10", "--trials", "2"], 1),

@@ -12,7 +12,6 @@ from helpers import (
     gcd_power_bound,
     lower_order_count_ie,
     orbit_walk,
-    table_upsilon,
 )
 from kcirculant.montecarlo import (
     KIND_LSD3,
@@ -23,9 +22,11 @@ from kcirculant.montecarlo import (
 )
 from kcirculant.numtheory import (
     ORBIT_CAP,
+    OrbitSummary,
     decompose,
     eigen_partition,
     multiplicative_order,
+    orbit_summary,
     orbit_table,
     structure,
 )
@@ -165,7 +166,7 @@ def assert_matches_orbit_walk(n, k):
     assert tuple(part.sizes.tolist()) == want["sizes"]
     assert part.self_conjugate.tolist() == [c == j for j, c in enumerate(want["conjugate_block"])]
     assert part.g1 == want["g1"]
-    assert table_upsilon(params) == want["upsilon"]
+    assert orbit_summary(params).upsilon == want["upsilon"]
     # the root layout: each member's half-spectrum index and sign, each root's rank
     m, members = params.n_prime, [t for blk in want["blocks"] for t in blk]
     assert part.fold.dtype == part.root_rank.dtype == np.int32 and part.mirror.dtype == np.int8
@@ -240,6 +241,19 @@ class TestOrbitTable:
             assert n // 4 == sum(c for size, conj, c in rows if size == 4 and conj)
             assert [size for size, _, _ in rows] == [1, 4] and rows[-1][1]
 
+    def test_summary_is_the_partition_summary(self):
+        for n in range(2, 150):
+            for k in range(1, n):
+                params = decompose(n, k)
+                part = eigen_partition(params)
+                sizes, counts = np.unique(part.sizes, return_counts=True)
+                lower = int(part.sizes[part.sizes < part.g1].sum())
+                assert orbit_summary(params) == OrbitSummary(
+                    g1=part.g1, blocks=part.block_count,
+                    self_conjugate=int(part.self_conjugate.sum()),
+                    histogram=dict(zip(sizes.tolist(), counts.tolist())),
+                    upsilon=Fraction(lower, params.n_prime)), (n, k)
+
     def test_cap_refused_with_the_partition_message(self):
         with pytest.raises(ValueError, match=f"exceeds the orbit enumeration cap of {ORBIT_CAP}"):
             orbit_table(decompose(10**12, 3))
@@ -252,9 +266,9 @@ class TestOrbitTable:
 
 class TestCounting:
     def test_upsilon_examples(self):
-        assert table_upsilon(decompose(5, 1)) == 0
-        assert table_upsilon(decompose(7, 6)) == Fraction(1, 7)
-        assert table_upsilon(decompose(10, 3)) == Fraction(1, 5)
+        assert orbit_summary(decompose(5, 1)).upsilon == 0
+        assert orbit_summary(decompose(7, 6)).upsilon == Fraction(1, 7)
+        assert orbit_summary(decompose(10, 3)).upsilon == Fraction(1, 5)
 
     def test_lower_order_count_examples(self):
         assert lower_order_count_ie(decompose(10, 3)) == 2
@@ -267,7 +281,7 @@ class TestCounting:
                 if math.gcd(k, m) != 1:
                     continue
                 params = decompose(m, k)
-                direct = table_upsilon(params) * m
+                direct = orbit_summary(params).upsilon * m
                 assert direct.denominator == 1
                 count = lower_order_count_ie(params)
                 assert count == direct.numerator
@@ -284,7 +298,7 @@ class TestCounting:
             n = k * k + 1
             part = structure(n, k)[1]
             expected = Fraction(2, n) if n % 2 == 0 else Fraction(1, n)
-            assert table_upsilon(decompose(n, k)) == expected and part.g1 == 4
+            assert orbit_summary(decompose(n, k)).upsilon == expected and part.g1 == 4
 
 
 class TestGcdPowerBound:

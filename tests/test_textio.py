@@ -1,18 +1,20 @@
-"""Output bytes: CSV rows from _textio.write_csv and JSON reports from to_json.
+"""Output bytes: CSV and SVG rows from _textio.write_rows and JSON reports from to_json.
 
 The expected bytes and digests were recorded when every exporter still formatted its
-own rows and reports went through a recursive copy; they pin the files to that form.
+own rows, the SVG was built as one string and reports went through a recursive copy;
+they pin the files to that form.
 """
 
 import hashlib
 import io
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import helpers
-from kcirculant import _textio, extremes, spectral
+from kcirculant import _textio, cli, extremes, spectral
 from kcirculant.cli import main
 from kcirculant.montecarlo import ExperimentReport
 
@@ -24,21 +26,21 @@ def sha256(data: bytes) -> str:
 class TestWriteCsv:
     def test_cells(self):
         buf = io.StringIO()
-        _textio.write_csv(buf, "f,i,s", [np.array([0.1, -0.0, 1e16, 5e-324]),
-                                         np.array([-1, 2**62, 0, 7]), ["a", "b", "c", "d"]])
+        _textio.write_rows(buf, "f,i,s", [np.array([0.1, -0.0, 1e16, 5e-324]),
+                                          np.array([-1, 2**62, 0, 7]), ["a", "b", "c", "d"]])
         assert buf.getvalue() == ("f,i,s\n0.1,-1,a\n-0.0,4611686018427387904,b\n"
                                   "1e+16,0,c\n5e-324,7,d\n")
 
     def test_append_writes_no_header(self, tmp_path):
         path = tmp_path / "rows.csv"
-        _textio.write_csv(path, "x", [[1, 2]])
-        _textio.write_csv(path, "x", [np.array([3.5])], append=True)
+        _textio.write_rows(path, "x", [[1, 2]])
+        _textio.write_rows(path, "x", [np.array([3.5])], append=True)
         assert path.read_bytes() == b"x\n1\n2\n3.5\n"
 
     def test_rows_past_one_write(self):
-        rows = 3 * _textio._CSV_ROWS + 5
+        rows = 3 * _textio._ROWS + 5
         buf = io.StringIO()
-        _textio.write_csv(buf, "i,x", [np.arange(rows), np.arange(rows) / 4])
+        _textio.write_rows(buf, "i,x", [np.arange(rows), np.arange(rows) / 4])
         text = buf.getvalue()
         assert text.startswith("i,x\n0,0.0\n1,0.25\n") and text.endswith("196612,49153.0\n")
         same = text == "i,x\n" + "".join(f"{i},{i / 4!r}\n" for i in range(rows))
@@ -46,7 +48,7 @@ class TestWriteCsv:
 
     def test_unequal_columns_raise(self):
         with pytest.raises(ValueError, match=r"differ in length: \[2, 3\]"):
-            _textio.write_csv(io.StringIO(), "a,b", [[1, 2], [1, 2, 3]])
+            _textio.write_rows(io.StringIO(), "a,b", [[1, 2], [1, 2, 3]])
 
 
 class TestSpectrumCsvBytes:
@@ -77,6 +79,36 @@ class TestSpectrumCsvBytes:
                      "--format", "svg", "--out", str(path)]) == 0
         assert sha256(path.read_bytes()) == (
             "c3881488af1f5c87f8b6c5f978fc24c0901f69bf3bfbd207cb684cee0bc5cfdf")
+
+
+class TestSpectrumSvgBytes:
+    @pytest.mark.parametrize("argv, digest", [
+        (["--k", "3", "--n", "50", "--law", "delta"],  # the axis floor, lim = 1.05
+         "b9d8ab3bd2f3e690dbcdc561e1d5488c8d5d4386fa8b5d098cf3940e67800d0d"),
+        (["--k", "6", "--n", "90", "--trials", "3"],  # structural zeros
+         "1775a649d9f42b8b5a96ce6af2a92186598c9edfe4eb7e1da57b38dbeb915d31"),
+        (["--preset", "ring_k2"],  # 90,100 circles
+         "263a8aa026b8d8f5edcb0bb6014eb2c8bd0e719f86991c75b7a6c13ebe8f065b"),
+    ])
+    def test_file_and_stdout(self, argv, digest, tmp_path, capsys):
+        argv = ["spectrum", *argv, "--format", "svg"]
+        path = tmp_path / "s.svg"
+        assert main([*argv, "--out", str(path)]) == 0
+        assert sha256(path.read_bytes()) == digest
+        assert main([*argv, "--out", "-"]) == 0
+        assert sha256(capsys.readouterr().out.encode()) == digest
+
+    def test_circles_go_out_in_blocks(self, monkeypatch):
+        class Chunks(list):
+            write = list.append  # each write_text call hands the stream one chunk
+
+        chunks = Chunks()
+        monkeypatch.setattr(sys, "stdout", chunks)
+        assert main(["spectrum", "--k", "3", "--n", "40000", "--trials", "2",
+                     "--format", "svg", "--out", "-"]) == 0
+        circles = [chunk.count("<circle") for chunk in chunks]
+        assert sum(circles) == 80000
+        assert max(circles) <= 65536
 
 
 class TestRadiiCsvBytes:
@@ -133,13 +165,13 @@ class TestReportJson:
 
 
 class TestOneRowFormatter:
-    """Every CSV row is formatted by _textio.write_csv: each exporter hands it columns."""
+    """Every CSV and SVG row is formatted by _textio.write_rows: each writer hands it columns."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = []
         for module in (spectral, extremes, helpers):
-            monkeypatch.setattr(module, "write_csv",
+            monkeypatch.setattr(module, "write_rows",
                                 lambda path, header, columns, append=False:
                                 calls.append((header, [list(c) for c in columns], append)))
         return calls
@@ -157,6 +189,22 @@ class TestOneRowFormatter:
         extremes.export_radii_csv([{"trial": 0, "seed": 9, "sp": 1.5, "standardized": 2.0}], buf)
         assert calls == [("trial,seed,sp,standardized", [[0], [9], [1.5], [2.0]], False)]
         assert buf.getvalue() == ""
+
+    def test_svg(self, monkeypatch, tmp_path):
+        calls = []
+        monkeypatch.setattr(cli, "write_rows", lambda path, header, columns, append=False,
+                            row=None: calls.append((path, header, columns, append, row)))
+        path = tmp_path / "s.svg"
+        assert main(["spectrum", "--k", "6", "--n", "360", "--trials", "3",
+                     "--format", "svg", "--out", str(path)]) == 0
+        [(out, header, columns, append, row)] = calls
+        assert out == str(path) and not append and path.read_text() == "</svg>\n"
+        assert [type(c) for c in columns] == [np.ndarray, np.ndarray]
+        assert [len(c) for c in columns] == [1080, 1080] and row.startswith("<circle")
+        # the header, one circle per point and the footer give the recorded file
+        circles = "".join(row % cells + "\n" for cells in zip(*(c.tolist() for c in columns)))
+        assert sha256((header + "\n" + circles + "</svg>\n").encode()) == (
+            "c3881488af1f5c87f8b6c5f978fc24c0901f69bf3bfbd207cb684cee0bc5cfdf")
 
     def test_points(self, calls):
         helpers.export_points_csv([1 + 2j], ["law"], io.StringIO())
