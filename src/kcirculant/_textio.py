@@ -4,15 +4,19 @@ numpy columns go through tolist(), so no numpy scalar's text reaches a file."""
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 _ROWS = 1 << 16  # rows formatted per write: bounds the text held at once
 
 
 def write_text(path, data: str, append: bool = False) -> None:
-    """Write data to an open stream, or to the file at path (ASCII)."""
-    if hasattr(path, "write"):
-        path.write(data)
+    """Write data to an open stream, to sys.stdout as the call finds it for "-", or to the
+    file at path (ASCII)."""
+    stream = sys.stdout if path == "-" else path
+    if hasattr(stream, "write"):
+        stream.write(data)
         return
     with open(path, "a" if append else "w", encoding="ascii") as fh:
         fh.write(data)

@@ -30,8 +30,8 @@ EXIT_IO = 3
 
 
 def _write_text(path: str, data: str) -> None:
-    """Write data to the file at path, or to stdout for "-"."""
-    write_text(sys.stdout if path == "-" else path, data)
+    """Write a report to the file at path, or to stdout for "-"."""
+    write_text(path, data)
 
 
 def _finite_float(text: str) -> float:
@@ -167,17 +167,16 @@ def cmd_spectrum(args) -> int:
                          f"trials at most that for SVG; got n = {args.n}, trials = "
                          f"{args.trials}: estimated peak memory {50 + points * 160 / 1e6:.0f} MB")
     n, scale = args.n, 1.0 / math.sqrt(args.n)
-    out = sys.stdout if args.out == "-" else args.out
     spectra = (spectral.formula_spectrum(_draw_input(args.law, derive_trial_seed(args.seed, t), n),
                                          args.k, n) for t in range(args.trials))
     if args.format == "csv":  # rows go out per trial
         for t, cloud in enumerate(spectra):
-            spectral.export_spectrum_csv(cloud, out, scale=scale, append=t > 0)
+            spectral.export_spectrum_csv(cloud, args.out, scale=scale, append=t > 0)
         return EXIT_PASS
     cloud = np.empty(points, complex)  # the scaled points; no spectrum outlives its trial
     for t, result in enumerate(spectra):
         np.multiply(result.eigenvalues, scale, out=cloud[t * n:(t + 1) * n])
-    _write_svg(out, cloud, f"k={args.k} n={n} law={args.law} trials={args.trials}")
+    _write_svg(args.out, cloud, f"k={args.k} n={n} law={args.law} trials={args.trials}")
     return EXIT_PASS
 
 
@@ -194,8 +193,7 @@ def _finish_experiment(report, out_path, summary=None, details="") -> int:
 
 
 def _tolerance_flags(command: str) -> list[str]:
-    """The tolerance flags of the kinds command runs, in table order. A flag may
-    set one key per kind: --tol-angular sets angular_grid_dev and angular_ks_mean."""
+    """The tolerance flags of the kinds command runs, in table order; each sets one key a kind."""
     return list(dict.fromkeys(flag for row in montecarlo.KINDS.values() if row.command == command
                               for _, flag in row.tolerances.values()))
 
@@ -207,15 +205,15 @@ _LSD_KINDS = {row.theorem: key for key, row in montecarlo.KINDS.items() if row.c
 def _experiment_config(args, kind: str, **fields) -> montecarlo.ExperimentConfig:
     """The experiment the parsed flags describe; inapplicable flags exit 2."""
     row = montecarlo.KINDS[kind]
+    keys = {flag: key for key, (_, flag) in row.tolerances.items()}
     tolerances = {}
     for flag in _tolerance_flags(row.command):
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is None:
             continue
-        keys = [key for key, (_, key_flag) in row.tolerances.items() if key_flag == flag]
-        if not keys:
+        if flag not in keys:
             raise ValueError(f"{flag} does not apply to {kind}")
-        tolerances.update(dict.fromkeys(keys, value))
+        tolerances[keys[flag]] = value
     return montecarlo.ExperimentConfig(kind=kind, law=args.law, trials=args.trials,
                                        master_seed=args.seed, tolerances=tolerances,
                                        **fields)
@@ -347,7 +345,7 @@ def main(argv=None) -> int:
     try:
         if command and _CONFIG in SUBCOMMANDS[command][2]:
             scan = argparse.ArgumentParser(prog="kcirc", add_help=False, allow_abbrev=False)
-            scan.add_argument("--config")
+            scan.add_argument("--config", nargs="?")  # a missing value is the subparser's error
             config = scan.parse_known_args(argv)[0].config
             if config:  # file values go ahead of the flags, so explicit flags win
                 argv = argv[:1] + _config_tokens(config) + argv[1:]

@@ -76,14 +76,19 @@ class KCirculantParams:
         return self.n - self.n_prime
 
 
+N_CAP = 10**14  # largest n: decompose factors gcd(k, n) <= n/2 in ~sqrt(n/2)/2 trial divisions
+
+
 def decompose(n: int, k: int) -> KCirculantParams:
     """Reduce k mod n and split the common prime factors out of (k, n).
 
     Rejects k = 0 (mod n): that matrix has all rows equal and none of the
-    orbit machinery applies.
+    orbit machinery applies. Rejects n > N_CAP, whose gcd could take long to factor.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if n > N_CAP:
+        raise ValueError(f"n = {n} exceeds the cap of {N_CAP} on factoring gcd(k, n)")
     if k < 1:
         raise ValueError("k must be at least 1")
     k %= n
@@ -172,10 +177,6 @@ class EigenPartition:
         starts = np.repeat(self.starts.astype(np.int32), self.sizes)
         return _read_only(np.arange(self.n_prime, dtype=np.int32) - starts)
 
-    @property
-    def block_count(self) -> int:
-        return int(self.sizes.size)
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -252,9 +253,8 @@ def orbit_summary(params: KCirculantParams) -> OrbitSummary:
                         Fraction(params.n_prime - g1 * hist[g1], params.n_prime))
 
 
-@lru_cache(maxsize=64)
-def structure(n: int, k: int) -> tuple[KCirculantParams, EigenPartition]:
-    """Decomposition and orbit partition of (n, k): the one orbit-structure cache, so each
-    (n, k) is walked once; arrays are read-only."""
-    params = decompose(n, k)
-    return params, eigen_partition(params)
+@lru_cache(maxsize=1)
+def structure(n: int, k: int) -> EigenPartition:
+    """Orbit partition of (n, k), read-only: the one orbit-structure cache. It keeps only the
+    pair in use: commands read one pair at a time, and a partition at n' = 10**6 holds 17 MB."""
+    return eigen_partition(decompose(n, k))

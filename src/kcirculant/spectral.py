@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._textio import write_rows
-from .numtheory import KCirculantParams, EigenPartition, structure
+from .numtheory import EigenPartition, structure
 
 __all__ = [
     "SpectrumResult",
@@ -124,13 +124,12 @@ class SpectrumResult:
 
     eigenvalues: np.ndarray
     zero_multiplicity: int
-    params: KCirculantParams
     partition: EigenPartition
 
     @property
     def block_index(self) -> np.ndarray:
         runs = np.concatenate([[self.zero_multiplicity], self.partition.sizes])
-        return np.repeat(np.arange(-1, self.partition.block_count), runs)
+        return np.repeat(np.arange(-1, self.partition.sizes.size), runs)
 
     @property
     def root_index(self) -> np.ndarray:
@@ -146,22 +145,22 @@ def formula_spectrum(a, k: int, n: int) -> SpectrumResult:
     per row, gives one row of eigenvalues per input.
     """
     a = as_input_sequence(a, rows=True, n=n)
-    params, partition = structure(n, k)
+    partition = structure(n, k)
     modulus, ang = _polar_roots(a, partition)
     # no temporaries, and the bits of modulus * (cos + 1j * sin): no argument is -0.0
     eigs = np.zeros(a.shape[:-1] + (n,), complex)
-    roots = eigs[..., params.zero_multiplicity:]
+    roots = eigs[..., n - partition.n_prime:]
     np.sin(ang, out=roots.imag)
     np.cos(ang, out=roots.real)
     roots *= modulus
-    return SpectrumResult(eigs, params.zero_multiplicity, params, partition)
+    return SpectrumResult(eigs, n - partition.n_prime, partition)
 
 
 def formula_polar(a, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """formula_spectrum's roots as (moduli, arguments), without its n - n' zeros or a complex
     root. A block's roots share one modulus; arguments lie in (-pi, 2*pi)."""
     a = as_input_sequence(a, rows=True, n=n)
-    return _polar_roots(a, structure(n, k)[1])
+    return _polar_roots(a, structure(n, k))
 
 
 def formula_radius(a, k: int, n: int) -> float:
@@ -172,7 +171,7 @@ def formula_radius(a, k: int, n: int) -> float:
     Agrees with the largest |eigenvalue| of formula_spectrum to a few ulp.
     """
     a = as_input_sequence(a, n=n)
-    partition = structure(n, k)[1]
+    partition = structure(n, k)
     log_mod = _log_moduli(_half_spectrum(a, partition), partition)
     return float(np.exp(log_mod * (1.0 / partition.sizes)).max())
 

@@ -212,7 +212,7 @@ def half_of(lam: np.ndarray, partition: EigenPartition) -> np.ndarray:
 def full_dft_polar(a, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """formula_polar's (moduli, arguments) with the block products read off all n DFT
     values at the multiples of n/n', not off the n'-point DFT of the input summed mod n'."""
-    partition = structure(n, k % n)[1]
+    partition = structure(n, k % n)
     log_mod, theta = _log_block_products(half_of(dft(a), partition), partition)
     sizes, inv = partition.sizes, 1.0 / partition.sizes
     rank = np.arange(partition.n_prime) - np.repeat(partition.starts, sizes)
@@ -248,15 +248,11 @@ def _assemble_products(log_mod: np.ndarray, theta: np.ndarray,
     return out
 
 
-def block_products(dft_values, params: KCirculantParams) -> np.ndarray:
-    """Products Pi_j of DFT values lambda_{t * n/n'} over each orbit block.
-
-    The blocks are those of the cached structure of (params.n, params.k).
-    """
+def block_products(dft_values, partition: EigenPartition) -> np.ndarray:
+    """Products Pi_j of all n DFT values' lambda_{t * n/n'} over each block of partition."""
     lam = np.asarray(dft_values, dtype=complex)
-    if lam.size != params.n:
-        raise ValueError("DFT length must equal n")
-    partition = structure(params.n, params.k)[1]
+    if lam.ndim != 1 or lam.size % partition.n_prime:
+        raise ValueError("need all n DFT values, n a multiple of n'")
     log_mod, theta = _log_block_products(half_of(lam, partition), partition)
     return _assemble_products(log_mod, theta, partition)
 
@@ -271,8 +267,8 @@ def reference_formula_spectrum(a, k: int, n: int):
     bit of each.
     """
     a = as_input_sequence(a, rows=True)
-    params, partition = structure(n, k % n)
-    m = params.n_prime
+    partition = structure(n, k % n)
+    m = partition.n_prime
     lam = dft(a.reshape(a.shape[:-1] + (-1, m)).sum(-2) if m < n else a)  # library's fold
     idx = partition.members
     vals = lam.take(idx, axis=-1)
@@ -367,7 +363,7 @@ def det_probe_oracle(a, k: int, n: int, trial_points) -> list[DetProbe]:
         log_lu = complex(n * half_log_n + logabs, cmath.phase(complex(sign)))
 
         log_formula = zeros * cmath.log(lam) if zeros else 0j
-        for j in range(partition.block_count):
+        for j in range(partition.sizes.size):
             nj = int(partition.sizes[j])
             pi_scaled = _safe_exp(complex(log_mod[j] - nj * half_log_n, 0)) \
                 * cmath.exp(1j * theta[j])

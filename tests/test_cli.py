@@ -55,13 +55,26 @@ class TestPartition:
         # partition reads numtheory.orbit_summary; eigen_partition's arrays must agree
         assert main(["partition", "--k", str(k), "--n", str(n), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        part = numtheory.structure(n, k)[1]
+        part = numtheory.structure(n, k)
         sizes, counts = np.unique(part.sizes, return_counts=True)
-        assert payload["g1"] == part.g1 and payload["blocks"] == part.block_count
+        assert payload["g1"] == part.g1 and payload["blocks"] == part.sizes.size
         assert payload["size_histogram"] == {str(s): int(c) for s, c in zip(sizes, counts)}
         assert payload["self_conjugate_blocks"] == int(part.self_conjugate.sum())
         lower = int(part.sizes[part.sizes < part.g1].sum())
         assert payload["upsilon"] == str(Fraction(lower, part.n_prime))
+
+    def test_n_above_cap_is_refused_before_factoring(self):
+        # the gcd 10000000000000061 is prime: trial division took 8 s before the cap
+        out = kcirc("partition", "--k", "10000000000000061", "--n", "20000000000000122",
+                    timeout=5)
+        assert out.returncode == 2
+        assert f"exceeds the cap of {numtheory.N_CAP}" in out.stderr
+
+    def test_largest_prime_gcd_below_the_cap(self):
+        # 49999999999981 is the largest prime at most N_CAP / 2: the slowest gcd to factor
+        out = kcirc("partition", "--k", "49999999999981", "--n", "99999999999962", timeout=15)
+        assert out.returncode == 0, out.stderr
+        assert "n'=2 k'=1 common_primes=49999999999981^1|n,49999999999981^1|k" in out.stdout
 
     def test_n_above_orbit_cap_is_usage_error(self):
         # refused before any array of length n' is allocated
@@ -350,6 +363,16 @@ class TestGumbel:
         assert len(lines) == 31
         float(lines[1].split(",")[3])  # standardized column parses
 
+    def test_csv_dash_is_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["gumbel", "--kk", "5", "--trials", "3"]
+        code = main([*argv, "--csv", "radii.csv"])
+        capsys.readouterr()
+        assert main([*argv, "--csv", "-"]) == code
+        radii, out = (tmp_path / "radii.csv").read_text(), capsys.readouterr().out
+        assert out.startswith(radii) and out[len(radii):].count("\n") == 1  # the verdict
+        assert [path.name for path in tmp_path.iterdir()] == ["radii.csv"]
+
     @pytest.mark.parametrize("kk", ["0", "2", "448"])
     def test_kk_outside_range_is_usage_error(self, kk, capsys):
         # k = 2 leaves q = n // 4 = 1, and k = 448 puts n = k^2 + 1 above the cap
@@ -443,13 +466,15 @@ class TestOneOrbitWalkPerCommand:
         (["partition", "--k", "12", "--n", "18", "--json"], 0),
         # k = 13 walks the orbits of k mod n = 3 (lsd refuses k >= n outright)
         (["spectrum", "--k", "13", "--n", "10", "--trials", "2"], 1),
+        # 15 pairs, and 20 samples a pair solved in 3 stacks, one stack after another
+        (["verify", "--nmax", "6", "--samples", "20"], 15),
     ])
     def test_command_walks_orbits_once(self, argv, expected, monkeypatch, capsys):
         original = numtheory.eigen_partition
         walks = []
 
         def counting(params):
-            walks.append(params.n_prime)
+            walks.append((params.n, params.k))
             return original(params)
 
         # every module binding, so a walk outside the cached accessor counts too
@@ -459,7 +484,11 @@ class TestOneOrbitWalkPerCommand:
                 monkeypatch.setattr(mod, "eigen_partition", counting)
         numtheory.structure.cache_clear()
         assert main(argv) in (0, 1)
-        assert len(walks) == expected
+        assert len(walks) == len(set(walks)) == expected
+
+    def test_structure_cache_keeps_one_partition(self):
+        assert numtheory.structure.cache_info().maxsize == 1
+        assert isinstance(numtheory.structure(10, 3), numtheory.EigenPartition)
 
 
 def _exit_text(parse, argv, capsys):
@@ -493,6 +522,17 @@ class TestOneSubparserPerCommand:
         assert _exit_text(build_parser(command).parse_args, argv, capsys) == full
         assert _exit_text(main, argv, capsys) == full
         assert full[0] in (0, 2) and full[1] + full[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["lsd", "--theorem", "3", "--k", "10", "--n", "101", "--config"],
+        ["gumbel", "--kk", "5", "--config"],
+    ])
+    def test_config_without_value_is_the_subcommand_error(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = _exit_text(main, argv, capsys)
+        assert (code, out, err) == _exit_text(build_parser().parse_args, argv, capsys)
+        assert code == 2 and err.startswith(f"usage: kcirc {argv[0]} ")
+        assert "argument --config: expected one argument" in err
 
     @pytest.mark.parametrize("argv, built", [
         (["lsd", "--theorem", "3", "--k", "3", "--n", "10", "--trials", "2"], ["lsd"]),

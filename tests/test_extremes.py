@@ -166,7 +166,7 @@ class TestSpectralRadius:
         rng = np.random.default_rng(0)
         a = rng.standard_normal(10)
         spectrum = formula_spectrum(a, 3, 10)
-        products = block_products(dft(a), spectrum.params)
+        products = block_products(dft(a), spectrum.partition)
         by_products = max(
             abs(products[j]) ** (1.0 / len(blk))
             for j, blk in enumerate(blocks_of(spectrum.partition)))

@@ -273,10 +273,11 @@ class TestOracleSweep:
         assert report.passed is not bool(fuzz)
 
     def test_memory_does_not_grow_with_samples(self):
-        # n_max = 10: 45 pairs, all held by the structure cache after the warm-up.
-        # Peaks (64 vs 8 samples) measured 29945 vs 27272 bytes; a sweep that
-        # stacks all of a pair's samples into one call measured 133352 vs 27272.
-        oracle_sweep(10, 1, master_seed=1)  # fills the structure cache untraced
+        # n_max = 10: 45 pairs. The one-entry structure cache walks each pair's orbits
+        # inside both traced sweeps alike, once a pair, as its stacks come in a row.
+        # Peaks (64 vs 8 samples) measured 29945 vs 27272 bytes with every pair cached;
+        # a sweep that stacks all of a pair's samples into one call, 133352 vs 27272.
+        oracle_sweep(10, 1, master_seed=1)  # imports and first-call setup, untraced
         assert SWEEP_STACK <= 8
         assert _sweep_peak(10, 64) <= 1.25 * _sweep_peak(10, 8)
 

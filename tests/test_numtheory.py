@@ -21,6 +21,7 @@ from kcirculant.montecarlo import (
     hypothesis_check,
 )
 from kcirculant.numtheory import (
+    N_CAP,
     ORBIT_CAP,
     OrbitSummary,
     decompose,
@@ -60,6 +61,12 @@ class TestDecompose:
             decompose(1, 1)
         with pytest.raises(ValueError):
             decompose(5, 0)
+
+    def test_n_above_cap_refused_before_factoring(self):
+        # gcd(k, n) = 10000000000000061 is prime: trial division took 8 s to factor it
+        with pytest.raises(ValueError, match=f"n = 20000000000000122 exceeds the cap of {N_CAP}"):
+            decompose(20000000000000122, 10000000000000061)
+        assert decompose(N_CAP, 3).n_prime == N_CAP
 
     def test_invariants_sweep(self):
         for n in range(2, 120):
@@ -107,7 +114,7 @@ class TestEigenPartition:
 
     def test_cached_arrays_are_read_only(self):
         # the structure cache shares one partition: a write would corrupt later spectra
-        part = structure(360, 7)[1]
+        part = structure(360, 7)
         for name in ("members", "starts", "sizes", "self_conjugate", "fold", "mirror",
                      "root_rank"):
             arr = getattr(part, name)
@@ -249,7 +256,7 @@ class TestOrbitTable:
                 sizes, counts = np.unique(part.sizes, return_counts=True)
                 lower = int(part.sizes[part.sizes < part.g1].sum())
                 assert orbit_summary(params) == OrbitSummary(
-                    g1=part.g1, blocks=part.block_count,
+                    g1=part.g1, blocks=part.sizes.size,
                     self_conjugate=int(part.self_conjugate.sum()),
                     histogram=dict(zip(sizes.tolist(), counts.tolist())),
                     upsilon=Fraction(lower, params.n_prime)), (n, k)
@@ -296,7 +303,7 @@ class TestCounting:
         # so every block is a 4-block but {0} and {n/2}: theorem 5 needs no block check
         for k in [*range(2, 81), 255, 447]:
             n = k * k + 1
-            part = structure(n, k)[1]
+            part = structure(n, k)
             expected = Fraction(2, n) if n % 2 == 0 else Fraction(1, n)
             assert orbit_summary(decompose(n, k)).upsilon == expected and part.g1 == 4
 

@@ -16,9 +16,9 @@ from helpers import (
     full_dft_polar,
     reference_formula_spectrum,
 )
-from kcirculant.limits import esd
+from kcirculant.limits import esd, grid_deviation
 from kcirculant.montecarlo import DEFAULT_MASTER_SEED
-from kcirculant.numtheory import decompose, eigen_partition
+from kcirculant.numtheory import decompose, eigen_partition, structure
 from kcirculant.seeding import derive_trial_seed, input_law
 from kcirculant.spectral import (
     TWO_PI,
@@ -137,7 +137,7 @@ class TestBlockProducts:
         a = rng.standard_normal(12)
         params = decompose(12, 5)
         part = eigen_partition(params)
-        prods = block_products(dft(a), params)
+        prods = block_products(dft(a), part)
         assert prods[0] == pytest.approx(a.sum())
 
     def test_half_block_is_alternating_sum(self):
@@ -145,7 +145,7 @@ class TestBlockProducts:
         a = rng.standard_normal(10)
         params = decompose(10, 3)
         part = eigen_partition(params)
-        prods = block_products(dft(a), params)
+        prods = block_products(dft(a), part)
         j = blocks_of(part).index((5,))
         alternating = np.sum(a * (-1.0) ** np.arange(10))
         assert prods[j].imag == 0.0
@@ -161,7 +161,7 @@ class TestBlockProducts:
         assert lam[0].real < 0 and lam[5].real < 0
         j0 = blocks_of(spectrum.partition).index((0,))
         j5 = blocks_of(spectrum.partition).index((5,))
-        prods = block_products(lam, spectrum.params)
+        prods = block_products(lam, spectrum.partition)
         assert prods[j0] == lam[0].real
         assert prods[j5] == lam[5].real
         eig0 = spectrum.eigenvalues[spectrum.block_index == j0][0]
@@ -175,7 +175,7 @@ class TestBlockProducts:
         a = rng.standard_normal(101)
         params = decompose(101, 10)
         part = eigen_partition(params)
-        prods = block_products(dft(a), params)
+        prods = block_products(dft(a), part)
         for j, blk in enumerate(blocks_of(part)):
             if len(blk) == 4:
                 assert prods[j].imag == 0.0
@@ -188,7 +188,7 @@ class TestBlockProducts:
             params = decompose(n, k)
             part = eigen_partition(params)
             lam = dft(a)
-            prods = block_products(lam, params)
+            prods = block_products(lam, part)
             y = n // params.n_prime
             for j, blk in enumerate(blocks_of(part)):
                 direct = np.prod(lam[np.array(blk) * y])
@@ -209,7 +209,7 @@ class TestFormulaSpectrum:
         a[0] = 1.0
         spectrum = formula_spectrum(a, k, n)
         assert np.allclose(np.abs(spectrum.eigenvalues), 1.0)
-        assert np.allclose(block_products(dft(a), spectrum.params), 1.0)
+        assert np.allclose(block_products(dft(a), spectrum.partition), 1.0)
         # {1} union two sets of cube roots of unity
         cube = np.exp(2j * np.pi * np.arange(3) / 3)
         expected = np.concatenate([[1.0], cube, cube])
@@ -236,8 +236,8 @@ class TestFormulaSpectrum:
         for n, k in [(7, 3), (11, 2), (15, 4)]:
             a = rng.standard_normal(n)
             spectrum = formula_spectrum(a, k, n)
-            ell = spectrum.partition.block_count
-            prods = block_products(dft(a), spectrum.params)
+            ell = spectrum.partition.sizes.size
+            prods = block_products(dft(a), spectrum.partition)
             det_formula = (-1.0) ** (n + ell) * np.prod(prods)
             det_lu = np.linalg.det(build_matrix(a, k, n))
             assert det_lu == pytest.approx(det_formula.real, rel=1e-8)
@@ -246,7 +246,7 @@ class TestFormulaSpectrum:
         rng = np.random.default_rng(10)
         a = rng.standard_normal(10)
         spectrum = formula_spectrum(a, 3, 10)
-        prods = block_products(dft(a), spectrum.params)
+        prods = block_products(dft(a), spectrum.partition)
         for j, blk in enumerate(blocks_of(spectrum.partition)):
             roots = spectrum.eigenvalues[spectrum.block_index == j]
             assert roots.size == len(blk)
@@ -465,6 +465,60 @@ class TestFormulaPolar:
         for row, m, t in zip(a, moduli, angles):
             single = formula_polar(row, k, n)
             assert np.array_equal(m, single[0]) and np.array_equal(t, single[1])
+
+
+@st.composite
+def theorem3_cases(draw):
+    """(k, n, g) with k^g = -1 (mod n): n >= 3 divides k^g + 1, n <= 4096."""
+    k, g = draw(st.integers(2, 60)), draw(st.integers(1, 4))
+    divisors = [d for d in range(3, min(k**g + 1, 4096) + 1) if (k**g + 1) % d == 0]
+    assume(divisors)
+    return k, draw(st.sampled_from(divisors)), g
+
+
+GATE_INPUTS = {
+    **INPUT_KINDS,
+    "negative_sum": lambda rng, n: rng.standard_normal(n) - 3.0,  # lambda_0 < 0
+    "cauchy": lambda rng, n: rng.standard_cauchy(n),
+}
+
+
+class TestTheorem3AngularGate:
+    """Under k^g = -1 (mod n) every orbit is self-conjugate and its size divides 2g. A
+    block's product is real, and >= 0 unless the block is the singleton {0} or {n/2}, so
+    every argument is a multiple of pi/g whatever the input: lsd's angular_grid_dev gate
+    measures rounding alone."""
+
+    @PROPERTY
+    @given(case=theorem3_cases(), kind=st.sampled_from(sorted(GATE_INPUTS)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(case=(100, 10001, 2), kind="negative_sum", seed=0)  # lsd-radial's theorem-3 run
+    @example(case=(3, 4, 1), kind="rademacher", seed=1)  # signs on {0} and {n/2}
+    def test_arguments_lie_on_the_grid(self, case, kind, seed):
+        k, n, g = case
+        a = GATE_INPUTS[kind](np.random.default_rng(seed), n)
+        assert grid_deviation(formula_polar(a, k, n)[1], g) < 1e-12
+
+
+class TestStructureCache:
+    def test_distinct_pairs_retain_one_structure(self):
+        # a partition of n' = 20011 with its root layout holds about 0.4 MB; one cached
+        # per pair, four pairs retained four times what one did
+        import tracemalloc
+
+        n = 20011
+        a = np.random.default_rng(0).standard_normal(n)
+        structure.cache_clear()
+        tracemalloc.start()
+        try:
+            formula_spectrum(a, 2, n)
+            one = tracemalloc.get_traced_memory()[0]
+            for k in (3, 4, 5):
+                formula_spectrum(a, k, n)
+            four = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert four < 1.25 * one
 
 
 @st.composite
