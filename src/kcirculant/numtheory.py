@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,62 +131,35 @@ def multiplicative_order(k: int, m: int) -> int:
     return order
 
 
-# Largest n' whose orbits are enumerated. The walk peaks at about 56 bytes per element
-# (measured: 56 MB at n' = 10**6), and the root layout built after it keeps 9, so this cap
-# bounds the walk near 560 MB, and keeps t * k and label * n' far below 2**63 and n' below 2**31.
+# Largest n' whose orbits are enumerated. The walk peaks at 36 bytes per element, 52 when
+# every block is a singleton (k = 1; tracemalloc at n' = 1000003), and the partition keeps 9,
+# plus 17 per block, so this cap bounds the walk near 520 MB, and keeps t * k and label * n'
+# far below 2**63 and n' below 2**31.
 ORBIT_CAP = 10**7
 
 
 @dataclass(frozen=True, eq=False)
 class EigenPartition:
-    """Partition of Z_{n'} into orbits of t -> t*k (mod n'), and the root layout read off it.
+    """Partition of Z_{n'} into orbits of t -> t*k (mod n'), as the root layout the formula reads.
 
     Blocks are listed by ascending smallest member, each ascending inside, so
-    block 0 is {0}. members holds all blocks concatenated; block j is
-    members[starts[j] : starts[j] + sizes[j]]. g1 is the orbit size of 1
-    (every other orbit size divides it). self_conjugate marks the blocks that
-    are their own reflection n' - t. The root layout (fold, mirror, root_rank) is
-    built at first use; every array is read-only, as the structure cache shares them.
+    block 0 is {0}; block j holds the members at starts[j] : starts[j] + sizes[j].
+    self_conjugate marks the blocks that are their own reflection n' - t. Every
+    array is read-only, as the structure cache shares them.
     """
 
     n_prime: int
-    members: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
-    g1: int
     self_conjugate: np.ndarray
+    fold: np.ndarray  # min(t, n' - t) per member t: where it reads the half spectrum (int32)
+    mirror: np.ndarray  # -1 on the members t > n'/2, which read the conjugate there, else 1 (int8)
+    root_rank: np.ndarray  # rank r = 0..n_j-1 of each root within its block (int32)
 
     def __post_init__(self):
-        for arr in (self.members, self.starts, self.sizes, self.self_conjugate):
+        for arr in (self.starts, self.sizes, self.self_conjugate, self.fold, self.mirror,
+                    self.root_rank):
             arr.setflags(write=False)
-
-    @cached_property
-    def fold(self) -> np.ndarray:
-        """min(t, n' - t) per member: where it reads the half spectrum t = 0..n'//2 (int32)."""
-        t = self.members.astype(np.int32)
-        return _read_only(np.minimum(t, self.n_prime - t, out=t))
-
-    @cached_property
-    def mirror(self) -> np.ndarray:
-        """-1 on the members t > n'/2, which read the conjugate at their fold, else 1 (int8)."""
-        return _read_only(1 - 2 * (self.members > self.n_prime // 2).view(np.int8))
-
-    @cached_property
-    def root_rank(self) -> np.ndarray:
-        """Rank r = 0..n_j-1 of each root within its block, in eigenvalue order (int32)."""
-        starts = np.repeat(self.starts.astype(np.int32), self.sizes)
-        return _read_only(np.arange(self.n_prime, dtype=np.int32) - starts)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _capped_n_prime(params: KCirculantParams) -> int:
-    if params.n_prime > ORBIT_CAP:
-        raise ValueError(f"n' = {params.n_prime} exceeds the orbit enumeration cap of {ORBIT_CAP}")
-    return params.n_prime
 
 
 def eigen_partition(params: KCirculantParams) -> EigenPartition:
@@ -194,10 +167,13 @@ def eigen_partition(params: KCirculantParams) -> EigenPartition:
 
     Labels each t with the smallest member of its orbit by pointer doubling:
     after round r, label[t] is the minimum over t*k^j for j < 2^(r+1), and
-    ceil(log2 g1) rounds cover every orbit, since orbit sizes divide g1.
+    ceil(log2 g1) rounds cover every orbit, since orbit sizes divide g1, the order of k.
     A stable sort by label then lists the blocks; one holding n' - min is self-conjugate.
+    Refuses n' > ORBIT_CAP before allocating.
     """
-    m = _capped_n_prime(params)
+    m = params.n_prime
+    if m > ORBIT_CAP:
+        raise ValueError(f"n' = {m} exceeds the orbit enumeration cap of {ORBIT_CAP}")
     kp = params.k % m if m > 1 else 0
     g1 = multiplicative_order(kp, m)
     t = np.arange(m, dtype=np.int64)
@@ -208,21 +184,29 @@ def eigen_partition(params: KCirculantParams) -> EigenPartition:
         np.minimum(label, label.take(step), out=label)
         step = step.take(step)
     keys = np.sort(label.astype(np.int64) * m + t)  # distinct keys: a stable sort by label
-    members = keys % m
+    del t, step  # the layout reuses the walk's memory, which keeps its peak and the heap low
     starts = np.flatnonzero(np.diff(keys // m, prepend=-1))
     sizes = np.diff(starts, append=m)
+    members = np.remainder(keys, m, out=keys)
     mins = members[starts]
-    return EigenPartition(n_prime=m, members=members, starts=starts, sizes=sizes, g1=g1,
-                          self_conjugate=label[(m - mins) % m] == mins)
+    self_conjugate = label[(m - mins) % m] == mins
+    del label
+    fold = members.astype(np.int32)
+    return EigenPartition(
+        n_prime=m, starts=starts, sizes=sizes, self_conjugate=self_conjugate,
+        fold=np.minimum(fold, m - fold, out=fold),
+        mirror=1 - 2 * (members > m // 2).view(np.int8),
+        root_rank=np.arange(m, dtype=np.int32) - np.repeat(starts.astype(np.int32), sizes))
 
 
 def orbit_table(params: KCirculantParams) -> list[tuple[int, bool, int]]:
-    """eigen_partition's blocks as sorted rows (size, self-conjugate, count), with its cap,
-    counted from the divisors m of n' without a walk: the t with gcd(t, n') = n'/m are the
-    units mod m times n'/m, so m gives phi(m) / ord_m(k) orbits of size ord_m(k) (the lcm of
-    the orders at its prime powers), self-conjugate when m <= 2 or k^(ord/2) = -1 (mod m)."""
+    """eigen_partition's blocks as sorted rows (size, self-conjugate, count), for every
+    n <= N_CAP, counted from the divisors m of n' without a walk: the t with gcd(t, n') = n'/m
+    are the units mod m times n'/m, so m gives phi(m) / ord_m(k) orbits of size ord_m(k) (the
+    lcm of the orders at its prime powers), self-conjugate when m <= 2 or k^(ord/2) = -1 (mod m).
+    Its time is trial division's: about 2 s at the safe prime 99999999995927 (2-vCPU VM)."""
     divisors = [(1, 1, 1)]  # (m, phi(m), ord_m(k)) over the divisors of n' built so far
-    for p, e in factorize(_capped_n_prime(params)):
+    for p, e in factorize(params.n_prime):
         orders = [multiplicative_order(params.k, p**f) for f in range(e + 1)]
         divisors = [(m * p**f, phi * (p**f - p**f // p), math.lcm(order, orders[f]))
                     for m, phi, order in divisors for f in range(e + 1)]
@@ -256,5 +240,5 @@ def orbit_summary(params: KCirculantParams) -> OrbitSummary:
 @lru_cache(maxsize=1)
 def structure(n: int, k: int) -> EigenPartition:
     """Orbit partition of (n, k), read-only: the one orbit-structure cache. It keeps only the
-    pair in use: commands read one pair at a time, and a partition at n' = 10**6 holds 17 MB."""
+    pair in use: commands read one pair at a time, and a partition at n' = 10**6 holds 9 MB."""
     return eigen_partition(decompose(n, k))

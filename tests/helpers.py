@@ -2,7 +2,7 @@
 
 orbit_walk is the pure-Python enumeration of the orbits of t -> t*k (mod n')
 that the vectorized kcirculant.numtheory.eigen_partition is checked against,
-through the tuple view blocks_of;
+through the tuple view blocks_of of the members that members_of decodes from its root layout;
 lower_order_count_ie counts the elements in smaller orbits by
 inclusion-exclusion instead, and gcd_power_bound checks the gcd(k^b +- 1,
 k^c +- 1) bound of the counting lemmas. dft is all n DFT values from the real FFT
@@ -139,9 +139,16 @@ def orbit_walk(n_prime: int, k: int) -> dict:
             "upsilon": Fraction(sum(s for s in sizes if s < g1), m)}
 
 
+def members_of(partition: EigenPartition) -> np.ndarray:
+    """Every block's members, concatenated in block order, decoded from the root layout:
+    t = fold where mirror is 1 and n' - fold where it is -1."""
+    fold = partition.fold.astype(np.int64)
+    return np.where(partition.mirror < 0, partition.n_prime - fold, fold)
+
+
 def blocks_of(partition: EigenPartition) -> tuple[tuple[int, ...], ...]:
     """The partition's blocks as tuples of members, in block order."""
-    return tuple(tuple(b.tolist()) for b in np.split(partition.members, partition.starts[1:]))
+    return tuple(tuple(b.tolist()) for b in np.split(members_of(partition), partition.starts[1:]))
 
 
 def lower_order_count_ie(params: KCirculantParams) -> int:
@@ -270,7 +277,7 @@ def reference_formula_spectrum(a, k: int, n: int):
     partition = structure(n, k % n)
     m = partition.n_prime
     lam = dft(a.reshape(a.shape[:-1] + (-1, m)).sum(-2) if m < n else a)  # library's fold
-    idx = partition.members
+    idx = members_of(partition)
     vals = lam.take(idx, axis=-1)
     theta = np.remainder(np.add.reduceat(np.angle(vals), partition.starts, axis=-1), TWO_PI)
     theta[theta > math.pi] -= TWO_PI

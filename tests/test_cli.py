@@ -57,10 +57,11 @@ class TestPartition:
         payload = json.loads(capsys.readouterr().out)
         part = numtheory.structure(n, k)
         sizes, counts = np.unique(part.sizes, return_counts=True)
-        assert payload["g1"] == part.g1 and payload["blocks"] == part.sizes.size
+        g1 = int(part.sizes.max())
+        assert payload["g1"] == g1 and payload["blocks"] == part.sizes.size
         assert payload["size_histogram"] == {str(s): int(c) for s, c in zip(sizes, counts)}
         assert payload["self_conjugate_blocks"] == int(part.self_conjugate.sum())
-        lower = int(part.sizes[part.sizes < part.g1].sum())
+        lower = int(part.sizes[part.sizes < g1].sum())
         assert payload["upsilon"] == str(Fraction(lower, part.n_prime))
 
     def test_n_above_cap_is_refused_before_factoring(self):
@@ -76,12 +77,12 @@ class TestPartition:
         assert out.returncode == 0, out.stderr
         assert "n'=2 k'=1 common_primes=49999999999981^1|n,49999999999981^1|k" in out.stdout
 
-    def test_n_above_orbit_cap_is_usage_error(self):
-        # refused before any array of length n' is allocated
-        out = kcirc("partition", "--k", "3", "--n", "1000000000000", timeout=5)
-        assert out.returncode == 2
-        assert "cap" in out.stderr
-        assert "Traceback" not in out.stderr
+    def test_slowest_table_past_the_orbit_cap(self):
+        # partition walks no orbit, so it answers past ORBIT_CAP; the safe prime
+        # 99999999995927 = 2 * 49999999997963 + 1 factors the most by trial division
+        out = kcirc("partition", "--k", "3", "--n", "99999999995927", timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert "g1=49999999997963 blocks=3 upsilon=1/99999999995927" in out.stdout
 
 
 class TestSpectrum:
@@ -592,7 +593,7 @@ class TestTail:
         assert "argument --x: expected" in capsys.readouterr().err
 
 
-class TestReproducibilityAcrossThreads:
+class TestTwoProcessesWriteEqualBytes:
     def test_lsd_report_bytes_stable(self, tmp_path):
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["lsd", "--theorem", "3", "--k", "10", "--n", "101",
@@ -650,6 +651,7 @@ class TestPackageSurface:
         gone = ["dft_naive", "DetProbe", "det_probe_oracle", "block_products",
                 "lower_order_count_ie", "gcd_power_bound", "lsd_sample",
                 "export_points_csv", "orbit", "upsilon", "radial_tail",
-                "lsd_radial_cdf", "spectral_radius", "_jsonify"]
+                "lsd_radial_cdf", "spectral_radius", "_jsonify", "_capped_n_prime",
+                "_read_only"]
         assert [name for name in gone
                 if any(hasattr(owner, name) for owner in [kcirculant, *modules])] == []

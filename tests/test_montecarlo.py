@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from helpers import reference_oracle_sweep, run_python
+from helpers import kcirc, reference_oracle_sweep, run_python
 from kcirculant.montecarlo import (
     DEFAULT_MASTER_SEED,
     DFT_EXPERIMENT_CAP,
@@ -222,13 +222,12 @@ class TestGumbelExperiment:
         assert "ks_reference" in report.aggregates
         assert len(report.trials) == 40
 
-    def test_single_trial_has_no_ks(self):
-        cfg = ExperimentConfig(kind=KIND_GUMBEL, k=20, n=401, trials=1,
-                               master_seed=10)
-        report = run_gumbel_experiment(cfg)
-        assert report.passed
-        assert "ks_gumbel" not in report.aggregates
-        assert "standardized" in report.trials[0]
+    def test_single_trial_fails_on_its_ks(self):
+        # one radius cannot pass a KS gate: the statistic is reported, not skipped
+        out = kcirc("gumbel", "--kk", "20", "--trials", "1")
+        assert out.returncode == 1, out.stderr
+        assert out.stdout.startswith("FAIL ks_gumbel=0.585")
+        assert "ks_reference=1 " in out.stdout
 
 
 def _sweep_peak(n_max, samples):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -95,14 +96,14 @@ class TestEigenPartition:
     def test_k2_n7(self):
         part = eigen_partition(decompose(7, 2))
         assert blocks_of(part) == ((0,), (1, 2, 4), (3, 5, 6))
-        assert part.g1 == 3
+        assert int(part.sizes.max()) == 3
         assert orbit_walk(7, 2)["conjugate_block"] == (0, 2, 1)
         assert part.self_conjugate.tolist() == [True, False, False]
 
     def test_k3_n10(self):
         part = eigen_partition(decompose(10, 3))
         assert set(blocks_of(part)) == {(0,), (5,), (1, 3, 7, 9), (2, 4, 6, 8)}
-        assert part.g1 == 4
+        assert int(part.sizes.max()) == 4
         for j, blk in enumerate(blocks_of(part)):
             if len(blk) == 4:
                 assert part.self_conjugate[j]
@@ -110,13 +111,15 @@ class TestEigenPartition:
     def test_k1_gives_singletons(self):
         part = eigen_partition(decompose(5, 1))
         assert blocks_of(part) == tuple((x,) for x in range(5))
-        assert part.g1 == 1
+        assert int(part.sizes.max()) == 1
 
     def test_cached_arrays_are_read_only(self):
         # the structure cache shares one partition: a write would corrupt later spectra
         part = structure(360, 7)
-        for name in ("members", "starts", "sizes", "self_conjugate", "fold", "mirror",
-                     "root_rank"):
+        fields = [field.name for field in dataclasses.fields(part)]
+        assert fields == ["n_prime", "starts", "sizes", "self_conjugate", "fold", "mirror",
+                          "root_rank"]
+        for name in fields[1:]:
             arr = getattr(part, name)
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
@@ -144,7 +147,7 @@ class TestEigenPartition:
             members = set(blk)
             for t in blk:
                 assert t * kp % m in members                 # closure
-            assert part.g1 % len(blk) == 0                   # orbit size divides g1
+            assert part.sizes.max() % len(blk) == 0          # orbit size divides g1
             # conjugacy is all-or-nothing and symmetric: the reflections form the walked
             # partner block, which is block j itself exactly when it is self-conjugate
             partner = walked["conjugate_block"][j]
@@ -172,7 +175,7 @@ def assert_matches_orbit_walk(n, k):
     assert blocks_of(part) == want["blocks"]
     assert tuple(part.sizes.tolist()) == want["sizes"]
     assert part.self_conjugate.tolist() == [c == j for j, c in enumerate(want["conjugate_block"])]
-    assert part.g1 == want["g1"]
+    assert int(part.sizes.max()) == orbit_summary(params).g1 == want["g1"]
     assert orbit_summary(params).upsilon == want["upsilon"]
     # the root layout: each member's half-spectrum index and sign, each root's rank
     m, members = params.n_prime, [t for blk in want["blocks"] for t in blk]
@@ -254,16 +257,21 @@ class TestOrbitTable:
                 params = decompose(n, k)
                 part = eigen_partition(params)
                 sizes, counts = np.unique(part.sizes, return_counts=True)
-                lower = int(part.sizes[part.sizes < part.g1].sum())
+                g1 = int(part.sizes.max())
+                lower = int(part.sizes[part.sizes < g1].sum())
                 assert orbit_summary(params) == OrbitSummary(
-                    g1=part.g1, blocks=part.sizes.size,
+                    g1=g1, blocks=part.sizes.size,
                     self_conjugate=int(part.self_conjugate.sum()),
                     histogram=dict(zip(sizes.tolist(), counts.tolist())),
                     upsilon=Fraction(lower, params.n_prime)), (n, k)
 
-    def test_cap_refused_with_the_partition_message(self):
-        with pytest.raises(ValueError, match=f"exceeds the orbit enumeration cap of {ORBIT_CAP}"):
-            orbit_table(decompose(10**12, 3))
+    def test_answers_past_the_orbit_cap(self):
+        # the table walks no orbit, so only the walk keeps the cap; 10**12 + 39 is prime,
+        # and 2 has the odd order (p - 1) / 2 mod it
+        p = 10**12 + 39
+        assert orbit_table(decompose(p, 2)) == [(1, True, 1), ((p - 1) // 2, False, 2)]
+        params = decompose(7420738134810, 41)  # 2 * 3 * 5 * ... * 37
+        assert sum(s * c for s, _, c in orbit_table(params)) == params.n_prime
 
     def test_rows_sum_to_n_prime(self):
         for n, k in [(2 * 3 * 5 * 7 * 11 * 13, 17), (2**17, 3), (199999, 2)]:
@@ -305,7 +313,8 @@ class TestCounting:
             n = k * k + 1
             part = structure(n, k)
             expected = Fraction(2, n) if n % 2 == 0 else Fraction(1, n)
-            assert orbit_summary(decompose(n, k)).upsilon == expected and part.g1 == 4
+            assert orbit_summary(decompose(n, k)).upsilon == expected
+            assert int(part.sizes.max()) == 4
 
 
 class TestGcdPowerBound:
