@@ -53,7 +53,7 @@ from kcirculant.numtheory import (
     EigenPartition,
     KCirculantParams,
     factorize,
-    multiplicative_order,
+    orbit_summary,
     structure,
 )
 from kcirculant.seeding import derive_trial_seed
@@ -162,7 +162,7 @@ def lower_order_count_ie(params: KCirculantParams) -> int:
     if m == 1:
         return 0
     kp = params.k % m
-    g1 = multiplicative_order(kp, m)
+    g1 = orbit_summary(params).g1
     primes = [p for p, _ in factorize(g1)]
     total = 0
     for mask in range(1, 1 << len(primes)):

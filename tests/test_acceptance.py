@@ -67,7 +67,7 @@ def test_criterion_2_counting_lemmas():
             assert direct.denominator == 1
             count = lower_order_count_ie(params)
             assert count == direct.numerator, (m, k)
-            g1 = kc.multiplicative_order(k, m)
+            g1 = kc.orbit_summary(params).g1
             leading = sum(math.gcd(pow(k, g1 // p, m) - 1, m)
                           for p, _ in factorize(g1))
             assert count <= leading, (m, k)

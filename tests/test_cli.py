@@ -652,6 +652,6 @@ class TestPackageSurface:
                 "lower_order_count_ie", "gcd_power_bound", "lsd_sample",
                 "export_points_csv", "orbit", "upsilon", "radial_tail",
                 "lsd_radial_cdf", "spectral_radius", "_jsonify", "_capped_n_prime",
-                "_read_only"]
+                "_read_only", "multiplicative_order"]
         assert [name for name in gone
                 if any(hasattr(owner, name) for owner in [kcirculant, *modules])] == []

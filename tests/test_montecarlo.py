@@ -323,14 +323,14 @@ def fresh_report(runner: str, cfg: dict) -> str:
 class TestReproducibility:
     # each report is built twice in fresh processes (cold structure cache)
     # and once here, where the cache may be warm; all three must agree
-    def test_threaded_run_matches_serial(self):
+    def test_lsd_fresh_processes_match_in_process(self):
         cfg = dict(kind=KIND_LSD3, k=10, n=101, trials=6, master_seed=123,
                    tolerances={"radial_ks_mean": 1.0})
         first = fresh_report("run_lsd_experiment", cfg)
         assert first == fresh_report("run_lsd_experiment", cfg)
         assert first == run_lsd_experiment(ExperimentConfig(**cfg)).to_json()
 
-    def test_gumbel_threaded_matches_serial(self):
+    def test_gumbel_fresh_processes_match_in_process(self):
         cfg = dict(kind=KIND_GUMBEL, k=10, n=101, trials=8, master_seed=321,
                    tolerances={"ks_gumbel": 1.0, "ks_reference": 1.0})
         first = fresh_report("run_gumbel_experiment", cfg)

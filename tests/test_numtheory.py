@@ -14,6 +14,7 @@ from helpers import (
     lower_order_count_ie,
     orbit_walk,
 )
+from kcirculant import numtheory
 from kcirculant.montecarlo import (
     KIND_LSD3,
     KIND_LSD4,
@@ -25,9 +26,10 @@ from kcirculant.numtheory import (
     N_CAP,
     ORBIT_CAP,
     OrbitSummary,
+    _power_orders,
     decompose,
     eigen_partition,
-    multiplicative_order,
+    factorize,
     orbit_summary,
     orbit_table,
     structure,
@@ -301,8 +303,7 @@ class TestCounting:
                 count = lower_order_count_ie(params)
                 assert count == direct.numerator
                 # the alternating sum never exceeds its leading term
-                g1 = multiplicative_order(k, m)
-                from kcirculant.numtheory import factorize
+                g1 = orbit_summary(params).g1
                 g_1 = sum(math.gcd(pow(k, g1 // p, m) - 1, m)
                           for p, _ in factorize(g1))
                 assert count <= g_1
@@ -384,12 +385,21 @@ class TestClassifyRegime:
             self.classify(2, 2, 10)
 
 
-class TestMultiplicativeOrder:
+def order_of(k: int, m: int) -> int:
+    """ord_m(k) as eigen_partition forms g1: the lcm of _power_orders' top order at each
+    prime power of m (1 when m = 1)."""
+    return math.lcm(*(_power_orders(k, p, e)[e] for p, e in factorize(m)))
+
+
+class TestPowerOrders:
+    """_power_orders, the one order routine, against the order of k read off the brute-force
+    walk (the size of the orbit of 1), and by its definition at powers too large to walk."""
+
     def test_values(self):
-        assert multiplicative_order(2, 7) == 3
-        assert multiplicative_order(10, 101) == 4
-        assert multiplicative_order(2, 3**8) == 2 * 3**7
-        assert multiplicative_order(5, 1) == 1
+        assert order_of(2, 7) == 3
+        assert order_of(10, 101) == 4
+        assert order_of(2, 3**8) == 2 * 3**7
+        assert order_of(5, 1) == 1
 
     def test_random_agrees_with_orbit_of_one(self):
         rnd = random.Random(0)
@@ -398,12 +408,57 @@ class TestMultiplicativeOrder:
             k = rnd.randrange(1, m)
             if math.gcd(k, m) != 1:
                 continue
-            assert multiplicative_order(k, m) == orbit_walk(m, k)["g1"]
+            g1 = orbit_walk(m, k)["g1"]
+            params = decompose(m, k)
+            assert order_of(k, m) == g1
+            assert orbit_summary(params).g1 == int(eigen_partition(params).sizes.max()) == g1
 
     @pytest.mark.parametrize("m", [1, 2, 8, 16, 64, 1024, 4096,
                                    3, 9, 3**7, 5**4, 7**3, 11**2, 13**2, 2003])
     def test_prime_powers_agree_with_orbit_of_one(self, m):
-        # lambda(2^e) = 2^(e-2) for e >= 3 is half of phi(2^e)
+        # mod 2^e with e >= 3 no unit has order phi(2^e): every odd k^2 = 1 (mod 8)
         ks = [k for k in range(1, max(m, 2)) if math.gcd(k, m) == 1]
         for k in ks[:400]:
-            assert multiplicative_order(k, m) == orbit_walk(m, k)["g1"]
+            assert order_of(k, m) == orbit_walk(m, k)["g1"]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 10007])
+    def test_every_lift_up_to_n_cap_is_the_least_period(self, p):
+        e = max(f for f in range(1, 64) if p**f <= N_CAP)
+        for k in (p - 1, p + 1, 2 * p + 1, 3, 5):
+            if k % p == 0:
+                continue
+            orders = _power_orders(k, p, e)
+            assert len(orders) == e + 1 and orders[0] == 1
+            for f, order in enumerate(orders[1:], start=1):
+                mod = p**f
+                assert pow(k, order, mod) == 1, (k, p, f)
+                assert all(pow(k, order // q, mod) != 1 for q, _ in factorize(order)), (k, p, f)
+
+
+class TestFactorsNPrimeOnce:
+    """The table and the walk factor n' once, then each p - 1 for the order mod p; the lifts
+    to p^f factor nothing."""
+
+    @staticmethod
+    def factorize_calls(monkeypatch, fn, params) -> list[int]:
+        calls = []
+        real = numtheory.factorize
+
+        def recording(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(numtheory, "factorize", recording)
+        fn(params)
+        return calls
+
+    def test_safe_prime_factors_n_prime_then_n_prime_minus_one(self, monkeypatch):
+        n = 99999999995927  # prime, and (n - 1)/2 is prime
+        assert self.factorize_calls(monkeypatch, orbit_summary, decompose(n, 3)) == [n, n - 1]
+
+    @pytest.mark.parametrize("fn,n", [(orbit_table, 2**20 * 3**5 * 5**3),
+                                      (eigen_partition, 2**6 * 3**3 * 5**2)])
+    def test_no_prime_power_is_factored(self, monkeypatch, fn, n):
+        calls = self.factorize_calls(monkeypatch, fn, decompose(n, 7))
+        # n' and p - 1 = 1, 2, 4 for p = 2, 3, 5; never a modulus 2^f, 3^f or 5^f
+        assert calls == [n, 1, 2, 4]
