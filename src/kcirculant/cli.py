@@ -109,7 +109,7 @@ FIGURE_PRESETS = {
 
 
 # Caps the points a run holds: n for CSV, n * trials for SVG. Peak RSS at --k 3 is under 50 MB
-# + 160 B a point: CSV 61.7/197.1/517.6 MB at n = 1e5/1e6/3e6, SVG 171.6-225.5 MB at 3e6 points.
+# + 160 B a point: CSV 60.5/198.0/520.3 MB at n = 1e5/1e6/3e6, SVG 171.6-225.5 MB at 3e6 points.
 SPECTRUM_N_CAP = 3 * 10**6
 
 

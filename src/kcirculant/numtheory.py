@@ -141,10 +141,13 @@ class EigenPartition:
     Blocks are listed by ascending smallest member, each ascending inside, so
     block 0 is {0}; block j holds the members at starts[j] : starts[j] + sizes[j].
     self_conjugate marks the blocks that are their own reflection n' - t. Every
-    array is read-only, as the structure cache shares them.
+    array is read-only, as the structure cache shares them. largest_prime, the largest
+    prime factor of n' (1 at n' = 1), comes from the factorization the walk makes for g1:
+    spectral._half_spectrum reads it to route the n'-point transform.
     """
 
     n_prime: int
+    largest_prime: int
     starts: np.ndarray
     sizes: np.ndarray
     self_conjugate: np.ndarray
@@ -172,7 +175,8 @@ def eigen_partition(params: KCirculantParams) -> EigenPartition:
     if m > ORBIT_CAP:
         raise ValueError(f"n' = {m} exceeds the orbit enumeration cap of {ORBIT_CAP}")
     kp = params.k % m
-    g1 = math.lcm(*(_power_orders(kp, p, e)[e] for p, e in factorize(m)))
+    primes = factorize(m)
+    g1 = math.lcm(*(_power_orders(kp, p, e)[e] for p, e in primes))
     t = np.arange(m, dtype=np.int64)
     # int32 halves the memory the gathers touch; n' <= ORBIT_CAP < 2**31
     label = t.astype(np.int32)
@@ -190,8 +194,8 @@ def eigen_partition(params: KCirculantParams) -> EigenPartition:
     del label
     fold = members.astype(np.int32)
     return EigenPartition(
-        n_prime=m, starts=starts, sizes=sizes, self_conjugate=self_conjugate,
-        fold=np.minimum(fold, m - fold, out=fold),
+        n_prime=m, largest_prime=primes[-1][0] if primes else 1, starts=starts, sizes=sizes,
+        self_conjugate=self_conjugate, fold=np.minimum(fold, m - fold, out=fold),
         mirror=1 - 2 * (members > m // 2).view(np.int8),
         root_rank=np.arange(m, dtype=np.int32) - np.repeat(starts.astype(np.int32), sizes))
 

@@ -6,9 +6,11 @@ shifted right by j*k factors as
     lambda^(n - n') * prod_j (lambda^(n_j) - Pi_j)
 
 where Pi_j multiplies the input DFT over the j-th orbit of t -> t*k (mod n'): its values at the
-multiples of n/n', the n'-point DFT of the input summed mod n'. This module builds their
-per-orbit products in log form on numtheory.EigenPartition's root layout, the exact eigenvalues
-(also in polar form), spectral radius, verify's dense oracle and matcher, and the CSV columns.
+multiples of n/n', the n'-point DFT of the input summed mod n'. That DFT is one real FFT, or
+at n' = r*p with p its largest prime factor, p >= SPLIT_FLOOR and r < p, FFTs of lengths p and
+r joined by the prime-factor map. This module builds their per-orbit products in log form on
+numtheory.EigenPartition's root layout, the exact eigenvalues (also in polar form), spectral
+radius, verify's dense oracle and matcher, and the CSV columns.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 DENSE_ORACLE_CAP = 128  # largest n the dense eigensolver oracle accepts
+SPLIT_FLOOR = 293  # least largest prime factor of n' that takes _split_rfft (README sweep)
 
 
 def as_input_sequence(values, rows: bool = False, n: int | None = None) -> np.ndarray:
@@ -62,12 +65,42 @@ def build_matrix(a, k: int, n: int) -> np.ndarray:
     return a.take(idx, axis=-1)
 
 
+def _split_rfft(a: np.ndarray, r: int, p: int) -> np.ndarray:
+    """np.fft.rfft(a).conj() of rows of length n' = r*p, for a prime p > r, by the prime-factor
+    map (Good 1958, Thomas 1963): x[j1, j2] = a[(j1*p + j2*r) mod n'] (r x p) takes a real FFT
+    along p and a complex one along r, with no twiddle factor, and lambda_t is read at
+    (t mod r, t mod p), or as the conjugate at (-t mod r, p - t mod p) when t mod p > p//2."""
+    m, q = r * p, p // 2 + 1
+    gather = np.add.outer(np.arange(0, m, p, dtype=np.int32), np.arange(0, m, r, dtype=np.int32))
+    np.subtract(gather, m, out=gather, where=gather >= m)
+    y = np.fft.rfft(a.take(gather, axis=-1)).swapaxes(-1, -2).copy()  # (q, r): last axis is fast
+    del gather
+    np.fft.fft(y, out=y)
+    # t = u*p + b, b < p, covers 0..n'//2: it reads y[b, t mod r], or y[p - b, -t mod r]
+    # conjugated when b > p//2, at flat index min(b, p - b)*r plus that column
+    b = np.arange(p, dtype=np.int32)
+    shift = np.arange(0, (m // 2 // p + 1) * p, p, dtype=np.int32) % r  # u*p mod r
+    idx = np.empty((shift.size, p), np.int32)
+    np.add.outer(shift, b[:q] % r, out=idx[:, :q])  # t mod r, or that plus r
+    np.add.outer(-shift % r, -b[q:] % r, out=idx[:, q:])  # -t mod r, or that plus r
+    (np.arange(2 * r, dtype=np.int32) % r).take(idx, out=idx)
+    idx += np.minimum(b, p - b) * r
+    half = y.reshape(y.shape[:-2] + (-1,)).take(idx, axis=-1)
+    np.negative(half.imag[..., :q], out=half.imag[..., :q])  # the conjugate of a direct read
+    return half.reshape(half.shape[:-2] + (-1,))[..., : m // 2 + 1]
+
+
 def _half_spectrum(a: np.ndarray, partition: EigenPartition) -> np.ndarray:
     """lambda_{t*n/n'} for t = 0..n'//2, the values the formula reads: the n'-point DFT
-    of the input summed mod n' (the input itself when n' = n), as a conjugated real FFT."""
+    of the input summed mod n' (the input itself when n' = n), as a conjugated real FFT.
+    When n' = r*p for its largest prime factor p >= SPLIT_FLOOR and 1 < r < p, the FFT is
+    _split_rfft's, which moves last bits; every other n' takes np.fft.rfft itself."""
     m = partition.n_prime
     if m < a.shape[-1]:
         a = a.reshape(a.shape[:-1] + (-1, m)).sum(-2)
+    p = partition.largest_prime
+    if p >= SPLIT_FLOOR and 1 < m // p < p:
+        return _split_rfft(a, m // p, p)
     return np.fft.rfft(a).conj()
 
 

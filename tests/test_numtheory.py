@@ -115,13 +115,22 @@ class TestEigenPartition:
         assert blocks_of(part) == tuple((x,) for x in range(5))
         assert int(part.sizes.max()) == 1
 
+    def test_largest_prime_of_n_prime(self):
+        # n' = 1 (k = 6, n = 36) has no prime factor and reads 1
+        for n in range(2, 300):
+            for k in {k for k in (2, 6, n - 1) if k % n}:
+                params = decompose(n, k)
+                want = max((p for p, _ in factorize(params.n_prime)), default=1)
+                assert eigen_partition(params).largest_prime == want, (n, k)
+        assert eigen_partition(decompose(36, 6)).largest_prime == 1
+
     def test_cached_arrays_are_read_only(self):
         # the structure cache shares one partition: a write would corrupt later spectra
         part = structure(360, 7)
         fields = [field.name for field in dataclasses.fields(part)]
-        assert fields == ["n_prime", "starts", "sizes", "self_conjugate", "fold", "mirror",
-                          "root_rank"]
-        for name in fields[1:]:
+        assert fields == ["n_prime", "largest_prime", "starts", "sizes", "self_conjugate",
+                          "fold", "mirror", "root_rank"]
+        for name in fields[2:]:
             arr = getattr(part, name)
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):

@@ -14,15 +14,19 @@ from helpers import (
     dft,
     dft_naive,
     full_dft_polar,
+    members_of,
     reference_formula_spectrum,
 )
 from kcirculant.limits import esd, grid_deviation
 from kcirculant.montecarlo import DEFAULT_MASTER_SEED
-from kcirculant.numtheory import decompose, eigen_partition, structure
+from kcirculant.numtheory import decompose, eigen_partition, factorize, structure
 from kcirculant.seeding import derive_trial_seed, input_law
 from kcirculant.spectral import (
+    SPLIT_FLOOR,
     TWO_PI,
+    _half_spectrum,
     _least_sum_assignment,
+    _log_block_products,
     as_input_sequence,
     build_matrix,
     dense_spectrum_oracle,
@@ -579,6 +583,103 @@ class TestPeriodizedTransform:
         a = INPUT_KINDS[kind](np.random.default_rng(seed), n)
         for got, want in zip(formula_polar(a, k, n), full_dft_polar(a, k, n)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+SPLIT_PRIMES = [q for q in range(SPLIT_FLOOR, 3002) if factorize(q) == [(q, 1)]]
+SPLIT_INPUTS = {
+    **INPUT_KINDS,
+    # a_j = (-1)^(j+1): lambda at n'/2 is -n when n' is even
+    "alternating": lambda rng, shape: -(-1.0) ** np.arange(shape[-1]) * np.ones(shape),
+}
+
+
+class TestPrimeFactorSplit:
+    """_half_spectrum takes _split_rfft where n' = r*p for its largest prime factor
+    p >= SPLIT_FLOOR and 1 < r < p, and np.fft.rfft(a).conj() itself at every other n'.
+    The smallest split n' is 2 * SPLIT_FLOOR > 512, so no bit-for-bit property above reaches
+    the split: this class checks it against the full DFT, the naive DFT and itself."""
+
+    # n' = 1, 2, a prime, a prime power, p^2 <= n' (also at p = SPLIT_FLOOR), and p below
+    # the floor twice
+    @pytest.mark.parametrize("k, n, n_prime", [(6, 36, 1), (3, 6, 2), (2, 1000003, 1000003),
+                                               (2, 6561, 6561), (3, 4901, 4901),
+                                               (2, 85849, 85849), (2, 10001, 10001),
+                                               (2, 9999, 9999)])
+    def test_unsplit_n_prime_keeps_the_real_fft(self, k, n, n_prime):
+        partition = structure(n, k)
+        assert partition.n_prime == n_prime
+        a = np.random.default_rng(n).standard_normal((2, n))
+        folded = a.reshape(2, -1, n_prime).sum(-2) if n_prime < n else a
+        want = np.fft.rfft(folded).conj()
+        assert np.array_equal(_half_spectrum(a, partition).view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(p=st.sampled_from(SPLIT_PRIMES), r=st.integers(2, 30),
+           s=st.sampled_from([1, 2, 3, 5, 7]), k0=st.integers(1, 10**6),
+           rows=st.sampled_from([0, 1, 2, 3]), kind=st.sampled_from(sorted(SPLIT_INPUTS)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(p=SPLIT_FLOOR, r=2, s=1, k0=3, rows=0, kind="gaussian", seed=0)  # smallest split
+    @example(p=SPLIT_FLOOR, r=SPLIT_FLOOR - 1, s=1, k0=5, rows=3, kind="alternating", seed=0)
+    @example(p=421, r=22, s=1, k0=21, rows=1, kind="gaussian", seed=1)  # criterion 9's theorem 3
+    @example(p=307, r=4, s=3, k0=7, rows=2, kind="ones", seed=0)
+    @example(p=311, r=9, s=2, k0=1, rows=0, kind="delta", seed=0)
+    def test_split_sizes(self, p, r, s, k0, rows, kind, seed):
+        # n' = r*p: n = r*p*s and k = s*k0 for a prime s dividing neither r nor p, so
+        # gcd(k, n) = s and n' < n, or n = r*p and k = k0 when s = 1
+        assume(math.gcd(k0, r * p) == 1 and (s == 1 or r % s))
+        m = r * p
+        n = m * s
+        k = s * k0 % n
+        partition = structure(n, k)
+        assert (partition.n_prime, partition.largest_prime) == (m, p)  # the route splits
+        a = SPLIT_INPUTS[kind](np.random.default_rng(seed), (rows, n) if rows else (n,))
+
+        # all three formula functions within TRANSFORM_BOUND * max|lambda| of the full DFT
+        moduli, angles = full_dft_polar(a, k, n)
+        reference = moduli * np.exp(1j * angles)
+        bound = TRANSFORM_BOUND * np.abs(dft(a)).max(-1, keepdims=True)
+        spectrum = formula_spectrum(a, k, n)
+        roots = spectrum.eigenvalues[..., n - m:]
+        assert np.all(np.abs(roots - reference) <= bound)
+        polar_mod, polar_arg = formula_polar(a, k, n)
+        assert np.all(np.abs(polar_mod * np.exp(1j * polar_arg) - reference) <= bound)
+        for row, row_bound, row_mod in zip(*map(np.atleast_2d, (a, bound, moduli))):
+            assert abs(formula_radius(row, k, n) - row_mod.max()) <= row_bound[0]
+
+        # exactly n - n' exact zeros, where no lambda_t is zero
+        assert spectrum.zero_multiplicity == n - m
+        assert np.all(spectrum.eigenvalues[..., :n - m] == 0)
+        if kind in ("gaussian", "delta"):
+            assert np.all(roots != 0)
+
+        # lambda_{n'-t} is read as the exact conjugate of lambda_t, and every
+        # self-conjugate block's angle is exactly 0 or pi: pi at {n'/2} when lambda_{n'/2} < 0
+        half = _half_spectrum(a, partition)
+        lam = np.empty(half.shape[:-1] + (m,), complex)
+        lam[..., members_of(partition)] = half.take(partition.fold, -1)
+        lam.imag[..., members_of(partition)] *= partition.mirror
+        pairs = np.flatnonzero(np.arange(m) * 2 % m)  # t other than 0 and n'/2
+        assert np.array_equal(lam[..., m - pairs], lam[..., pairs].conj())
+        theta = _log_block_products(half, partition)[1]
+        sc = partition.self_conjugate
+        assert np.all((theta.T[sc] == 0.0) | (theta.T[sc] == math.pi))
+        if kind == "alternating" and m % 2 == 0:  # lambda_{n'/2} = -n
+            j = np.flatnonzero(partition.fold[partition.starts] == m // 2)
+            assert np.all(theta[..., j] == math.pi)
+
+        # each stack row is bit-equal to its single call
+        for i, row in enumerate(a if rows else ()):
+            assert np.array_equal(formula_spectrum(row, k, n).eigenvalues.view(np.uint64),
+                                  spectrum.eigenvalues[i].view(np.uint64))
+            for got, want in zip(formula_polar(row, k, n), (polar_mod[i], polar_arg[i])):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+        # a few values against the naive DFT, which reads no FFT
+        row = np.atleast_2d(a)[0]
+        ts = np.array([0, 1, r, p, m // 2 - 1, m // 2, (seed % (m // 2)) + 1])
+        naive = dft_naive(row, ts * (n // m))
+        assert np.all(np.abs(np.atleast_2d(half)[0, ts] - naive)
+                      <= TRANSFORM_BOUND * np.abs(row).sum())
 
 
 class TestKReduction:
