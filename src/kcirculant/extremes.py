@@ -65,10 +65,11 @@ def kbar(x: float) -> float:
     """Tail probability P(E1*E2 > x) = integral exp(-y - x/y) dy over (0, inf).
 
     The integral is s K_1(s) at s = 2 sqrt(x), with K_1 the modified Bessel
-    function of the second kind from the trapezoidal rule that the g = 2
-    radial CDF uses too, to relative accuracy near 1e-13. It is exactly 0
-    once s > 745, where exp(-s) underflows, and at most 1: below x = 1e-10
-    rounding would pass 1 by up to 3 ulp.
+    function of the second kind that the g = 2 radial CDF uses too (limits._k1e:
+    its ascending series up to s = 2, the trapezoidal rule above), to relative
+    accuracy near 1e-13, most of it exp(-s) at large s. It is exactly 0 once
+    s > 745, where exp(-s) underflows, and at most 1: below x = 1e-10 rounding
+    would pass 1 by up to 3 ulp.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")

@@ -15,10 +15,11 @@ bounds the phase rate), in blocks of 64 radii. Where a tail bound puts F or
 1 - F under 1e-16 it is exactly 0 or 1, so the grid never aliases there;
 elsewhere the error is about 1e-15, absolute. g = 1 keeps 1 - exp(-r^2),
 and g = 2 takes the closed form 1 - z K_1(z), z = 2 r^2, under the same guards.
-The special functions are numpy code here: e^z K_1(z) by the trapezoidal
-rule (_k1e), log Gamma(1 + it) by Stirling's series and the exact modulus
-(_log_gamma_1_plus_it), and the bound Q(g, y), the regularized upper
-incomplete gamma function at integer g, by its finite sum (_gamma_q).
+The special functions are numpy code here: e^z K_1(z) by its ascending series
+up to z = 2 and the trapezoidal rule above (_k1e), log Gamma(1 + it) by
+Stirling's series and the exact modulus (_log_gamma_1_plus_it), and the
+bound Q(g, y), the regularized upper incomplete gamma function at integer g,
+by its finite sum (_gamma_q).
 """
 
 from __future__ import annotations
@@ -44,8 +45,12 @@ EULER_GAMMA = 0.57721566490153286061
 DEGENERATE_RADIUS = math.exp(-EULER_GAMMA / 2.0)  # 0.74930600...
 
 _NEGLIGIBLE = 1e-16  # a CDF or tail bound below this reads as exact 0 or 1
-_K1_CUT = 42.0  # K_1 needs the nodes until z (cosh u - 1) reaches this: exp(-42) < 1e-18
 _K1_ROWS = 4096  # z per block of the K_1 sums
+# _k1e's series, k = 13..0: 1 / (k! (k+1)!), and that times (psi(k+1) + psi(k+2)) / 2
+# with psi(k+1) = H_k - gamma, H_k the k-th harmonic number
+_I1_SERIES = [1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(13, -1, -1)]
+_K1_SERIES = [(sum(1.0 / j for j in range(1, k + 1)) + 0.5 / (k + 1) - EULER_GAMMA) * c
+              for k, c in zip(range(13, -1, -1), _I1_SERIES)]
 # B_2k / (2k (2k - 1)), k = 1..8: Stirling's series for log Gamma
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
              -3617 / 122400)
@@ -85,19 +90,27 @@ def _inversion_grid(g: int, per_unit: int):
 
 
 def _k1e(z: np.ndarray) -> np.ndarray:
-    """e^z K_1(z) at each finite z > 0 of a 1-D array.
+    """e^z K_1(z) at each finite z > 0 of a 1-D array; each value depends on its own z alone.
 
-    The trapezoidal rule on e^z K_1(z) = int_0^inf exp(-z (cosh u - 1)) cosh u du,
-    which converges exponentially in the step (Trefethen & Weideman 2014): step
-    h = min(0.2, 0.5 / sqrt(z)), nodes u = j h up to where z (cosh u - 1)
-    reaches 42. Each value sums a set of nodes fixed by its own z, in a fixed
-    order, so it never depends on the other z in the call. The z go through
-    in blocks of 4096, and no 2-D temporary holds more than 32 values per z.
+    z <= 2: the ascending series (DLMF 10.31.1) in w = z^2 / 4, 14 terms each by Horner,
+    K_1(z) = 1/z + (z/2) sum_k (log(z/2) - (psi(k+1) + psi(k+2)) / 2) w^k / (k! (k+1)!).
+    z > 2: the trapezoidal rule on e^z K_1(z) = int_0^inf exp(-z (cosh u - 1)) cosh u du,
+    which converges exponentially in the step (Trefethen & Weideman 2014): 32 nodes of
+    step min(0.2, 0.5 / sqrt(z)), in blocks of 4096 z, so a 2-D temporary has 32 per z.
     """
-    h = np.minimum(0.2, 0.5 / np.sqrt(z))
     out = np.empty_like(z)
-    # z > 6.25: nodes of its own step; at most 20 are needed, and 32 are summed
-    own = np.flatnonzero(h < 0.2)
+    series = np.flatnonzero(z <= 2.0)
+    half = 0.5 * z[series]
+    w = half * half
+    i1, k1 = np.full_like(w, _I1_SERIES[0]), np.full_like(w, _K1_SERIES[0])
+    for ci, ck in zip(_I1_SERIES[1:], _K1_SERIES[1:]):
+        i1 *= w
+        i1 += ci
+        k1 *= w
+        k1 += ck
+    out[series] = np.exp(2.0 * half) * (0.5 / half + half * (np.log(half) * i1 - k1))
+    h = np.minimum(0.2, 0.5 / np.sqrt(z))
+    own = np.flatnonzero(z > 2.0)
     for lo in range(0, own.size, _K1_ROWS):
         idx = own[lo:lo + _K1_ROWS]
         a = np.expm1(h[idx, None] * np.arange(32))
@@ -105,29 +118,6 @@ def _k1e(z: np.ndarray) -> np.ndarray:
         # past -700 a term is 0 to the sum, and numpy's exp is slow in subnormals
         terms = np.exp(np.maximum(z[idx, None] * -c1, -700.0)) * (1.0 + c1)
         out[idx] = h[idx] * (terms.sum(axis=1) - 0.5)  # u = 0 has half weight
-    # z <= 6.25 shares the nodes u = 0.2 j, taken in runs of 8 after j = 0. A z
-    # sums every run that starts by its last node, so its terms stay above
-    # e^-200, and with the z needing most nodes first, a run's z are a prefix.
-    shared = np.flatnonzero(h == 0.2)
-    last = np.arccosh(1.0 + _K1_CUT / z[shared]) / 0.2
-    order = np.argsort(-last, kind="stable")
-    shared, last = shared[order], last[order]
-    for lo in range(0, shared.size, _K1_ROWS):
-        idx, block_last = shared[lo:lo + _K1_ROWS], last[lo:lo + _K1_ROWS]
-        neg_z = -z[idx]
-        starts = np.arange(1, block_last[0] + 1, 8)
-        a = np.expm1(0.2 * np.arange(1, 8 * starts.size + 1))
-        c1 = (0.5 * a * (a / (1.0 + a))).reshape(-1, 8, 1)
-        total = np.full_like(neg_z, 0.5)
-        joined = np.searchsorted(-block_last, -starts, side="right").tolist()
-        for k, run in zip(joined, c1):
-            terms = run * neg_z[:k]
-            np.exp(terms, out=terms)
-            terms *= 1.0 + run
-            terms = terms[0::2] + terms[1::2]  # the same pairwise order for every z
-            terms = terms[0::2] + terms[1::2]
-            total[:k] += terms[0] + terms[1]
-        out[idx] = 0.2 * total
     return out
 
 

@@ -87,7 +87,10 @@ def _split_rfft(a: np.ndarray, r: int, p: int) -> np.ndarray:
     idx += np.minimum(b, p - b) * r
     half = y.reshape(y.shape[:-2] + (-1,)).take(idx, axis=-1)
     np.negative(half.imag[..., :q], out=half.imag[..., :q])  # the conjugate of a direct read
-    return half.reshape(half.shape[:-2] + (-1,))[..., : m // 2 + 1]
+    half = half.reshape(half.shape[:-2] + (-1,))[..., : m // 2 + 1]
+    if m % 2 == 0:  # lambda_{n'/2} is real: np.fft.rfft(a).conj() has -0.0 there
+        half.imag[..., -1] = -0.0
+    return half
 
 
 def _half_spectrum(a: np.ndarray, partition: EigenPartition) -> np.ndarray:

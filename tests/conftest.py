@@ -10,5 +10,10 @@ DIGESTS_NUMPY = "2.4.6"  # the numpy that TestReportDigests' sha256 values were 
 
 
 def pytest_report_header(config):
+    try:  # the K_1, Q and log-Gamma accuracy tests compare against scipy.special
+        import scipy
+        scipy_version = f"scipy {scipy.__version__}"
+    except ImportError:
+        scipy_version = "scipy not installed"
     return (f"numpy {np.__version__} (TestReportDigests recorded with numpy {DIGESTS_NUMPY}; "
-            f"other versions are unverified)")
+            f"other versions are unverified), {scipy_version}")

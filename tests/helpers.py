@@ -20,9 +20,11 @@ writes such a cloud. product_tail is the
 nested-quadrature tail of a product of exponentials that the Gil-Pelaez
 radial CDF in kcirculant.limits is checked against; quad_smooth is the
 adaptive quadrature under it. The modified Bessel function K1 here is a
-from-scratch series/asymptotic implementation, deliberately sharing nothing
-with the trapezoidal-rule K1 (kcirculant.limits._k1e) that
-kcirculant.extremes.kbar and the g = 2 radial CDF evaluate. Worst-case
+from-scratch series/asymptotic implementation, deliberately sharing no code
+with kcirculant.limits._k1e (a Horner-evaluated series below z = 2, the
+trapezoidal rule above) that kcirculant.extremes.kbar and the g = 2 radial
+CDF evaluate. Below z = 2 both sum the same ascending series, so there the
+frozen mpmath values and scipy are the independent references. Worst-case
 relative error is below 1e-8 on (0, 40] (largest at the z = 8 crossover),
 verified against frozen high-precision reference values in test_extremes.
 reference_oracle_sweep solves the oracle sweep one sample at a time; the

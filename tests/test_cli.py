@@ -392,7 +392,7 @@ class TestReportDigests:
           "--radius", "0.75", "--epsilon", "0.06"], 0,
          "05bf2a6ee78c9941a619fa2ae496ba49c956fa4852a266ba1ddeacae7b3645c4"),
         (["lsd", "--theorem", "3", "--k", "100", "--n", "10001", "--trials", "2"], 0,
-         "a0f31993d95030eb164ad3bc56f6d10305e38c6100145a0450b9472de405764f"),
+         "a8f5bd1e8b78053acb77285c6f3b0640233be1728f9480c7a3eba01b7bc509f2"),
         (["lsd", "--theorem", "3", "--k", "5", "--n", "126", "--trials", "2"], 1,  # g = 3
          "37421be99b6aac57da1098e64bbaa024f4d6636c38b3084b8d546c1e17f7a74d"),
         (["lsd", "--theorem", "4", "--k", "100", "--n", "9999", "--trials", "2",

@@ -623,6 +623,8 @@ class TestPrimeFactorSplit:
     @example(p=421, r=22, s=1, k0=21, rows=1, kind="gaussian", seed=1)  # criterion 9's theorem 3
     @example(p=307, r=4, s=3, k0=7, rows=2, kind="ones", seed=0)
     @example(p=311, r=9, s=2, k0=1, rows=0, kind="delta", seed=0)
+    @example(p=293, r=6, s=1, k0=5, rows=0, kind="gaussian", seed=0)  # (5, 1758)
+    @example(p=307, r=10, s=1, k0=11, rows=2, kind="gaussian", seed=0)  # (11, 3070)
     def test_split_sizes(self, p, r, s, k0, rows, kind, seed):
         # n' = r*p: n = r*p*s and k = s*k0 for a prime s dividing neither r nor p, so
         # gcd(k, n) = s and n' < n, or n = r*p and k = k0 when s = 1
@@ -655,6 +657,10 @@ class TestPrimeFactorSplit:
         # lambda_{n'-t} is read as the exact conjugate of lambda_t, and every
         # self-conjugate block's angle is exactly 0 or pi: pi at {n'/2} when lambda_{n'/2} < 0
         half = _half_spectrum(a, partition)
+        if m % 2 == 0:  # lambda_{n'/2} is real, with the unsplit path's -0.0 imaginary part
+            unsplit = np.fft.rfft(a.reshape(a.shape[:-1] + (-1, m)).sum(-2)).conj()
+            assert np.array_equal(half.imag[..., m // 2].view(np.uint64),
+                                  unsplit.imag[..., m // 2].view(np.uint64))
         lam = np.empty(half.shape[:-1] + (m,), complex)
         lam[..., members_of(partition)] = half.take(partition.fold, -1)
         lam.imag[..., members_of(partition)] *= partition.mirror
