@@ -66,12 +66,13 @@ def kbar(x: float) -> float:
 
     The integral is s K_1(s) at s = 2 sqrt(x), with K_1 the modified Bessel
     function of the second kind that the g = 2 radial CDF uses too (limits._k1e:
-    its ascending series up to s = 2, the trapezoidal rule above), to relative
+    its ascending series up to s = 2, above it one 22-node trapezoidal row of
+    step 0.4 in v = 2 sqrt(s) sinh(u/2), within 6e-16 of scipy), to relative
     accuracy near 1e-13, most of it exp(-s) at large s. It is exactly 0 once
     s > 745, where exp(-s) underflows, and at most 1: below x = 1e-10 rounding
     would pass 1 by up to 3 ulp.
     """
-    if x < 0:
+    if not x >= 0:  # refuses NaN too
         raise ValueError("x must be nonnegative")
     if x == 0:
         return 1.0
@@ -83,7 +84,7 @@ def kbar(x: float) -> float:
 
 def kbar_asymptotic(x: float) -> float:
     """Large-x form sqrt(pi) * x^(1/4) * exp(-2 sqrt(x)) of the same tail."""
-    if x <= 0:
+    if not x > 0:  # refuses NaN too
         raise ValueError("x must be positive")
     return math.sqrt(math.pi) * x**0.25 * math.exp(-2.0 * math.sqrt(x))
 

@@ -16,10 +16,10 @@ bounds the phase rate), in blocks of 64 radii. Where a tail bound puts F or
 elsewhere the error is about 1e-15, absolute. g = 1 keeps 1 - exp(-r^2),
 and g = 2 takes the closed form 1 - z K_1(z), z = 2 r^2, under the same guards.
 The special functions are numpy code here: e^z K_1(z) by its ascending series
-up to z = 2 and the trapezoidal rule above (_k1e), log Gamma(1 + it) by
-Stirling's series and the exact modulus (_log_gamma_1_plus_it), and the
-bound Q(g, y), the regularized upper incomplete gamma function at integer g,
-by its finite sum (_gamma_q).
+up to z = 2 and above it by one 22-node trapezoidal row in v = 2 sqrt(z)
+sinh(u/2), shared by every z (_k1e); log Gamma(1 + it) by Stirling's series and
+the exact modulus (_log_gamma_1_plus_it); and the bound Q(g, y), the regularized
+upper incomplete gamma function at integer g, by its finite sum (_gamma_q).
 """
 
 from __future__ import annotations
@@ -45,12 +45,14 @@ EULER_GAMMA = 0.57721566490153286061
 DEGENERATE_RADIUS = math.exp(-EULER_GAMMA / 2.0)  # 0.74930600...
 
 _NEGLIGIBLE = 1e-16  # a CDF or tail bound below this reads as exact 0 or 1
-_K1_ROWS = 4096  # z per block of the K_1 sums
 # _k1e's series, k = 13..0: 1 / (k! (k+1)!), and that times (psi(k+1) + psi(k+2)) / 2
 # with psi(k+1) = H_k - gamma, H_k the k-th harmonic number
 _I1_SERIES = [1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(13, -1, -1)]
 _K1_SERIES = [(sum(1.0 / j for j in range(1, k + 1)) + 0.5 / (k + 1) - EULER_GAMMA) * c
               for k, c in zip(range(13, -1, -1), _I1_SERIES)]
+# _k1e's trapezoid above z = 2: (v^2, 0.4 e^(-v^2/2)) at v = 0.4 j, j = 21..0, half at v = 0
+_K1_NODES = [(v2, (0.2 if v2 == 0.0 else 0.4) * math.exp(-0.5 * v2))
+             for v2 in [(0.4 * j) ** 2 for j in range(21, -1, -1)]]
 # B_2k / (2k (2k - 1)), k = 1..8: Stirling's series for log Gamma
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
              -3617 / 122400)
@@ -94,12 +96,13 @@ def _k1e(z: np.ndarray) -> np.ndarray:
 
     z <= 2: the ascending series (DLMF 10.31.1) in w = z^2 / 4, 14 terms each by Horner,
     K_1(z) = 1/z + (z/2) sum_k (log(z/2) - (psi(k+1) + psi(k+2)) / 2) w^k / (k! (k+1)!).
-    z > 2: the trapezoidal rule on e^z K_1(z) = int_0^inf exp(-z (cosh u - 1)) cosh u du,
-    which converges exponentially in the step (Trefethen & Weideman 2014): 32 nodes of
-    step min(0.2, 0.5 / sqrt(z)), in blocks of 4096 z, so a 2-D temporary has 32 per z.
+    z > 2 (and NaN): v = 2 sqrt(z) sinh(u/2) takes int_0^inf exp(-z (cosh u - 1)) cosh u du
+    to z^(-1/2) int_0^inf e^(-v^2/2) (1 + x/2) / sqrt(1 + x/4) dv, x = v^2 / z. Its branch
+    points +-2i sqrt(z) lie over 2 sqrt(2) off the real axis, so one trapezoidal row, 22 nodes
+    of step 0.4 summed smallest first, serves every z to 6e-16 (Trefethen & Weideman 2014).
     """
     out = np.empty_like(z)
-    series = np.flatnonzero(z <= 2.0)
+    series = z <= 2.0
     half = 0.5 * z[series]
     w = half * half
     i1, k1 = np.full_like(w, _I1_SERIES[0]), np.full_like(w, _K1_SERIES[0])
@@ -109,15 +112,12 @@ def _k1e(z: np.ndarray) -> np.ndarray:
         k1 *= w
         k1 += ck
     out[series] = np.exp(2.0 * half) * (0.5 / half + half * (np.log(half) * i1 - k1))
-    h = np.minimum(0.2, 0.5 / np.sqrt(z))
-    own = np.flatnonzero(z > 2.0)
-    for lo in range(0, own.size, _K1_ROWS):
-        idx = own[lo:lo + _K1_ROWS]
-        a = np.expm1(h[idx, None] * np.arange(32))
-        c1 = 0.5 * a * (a / (1.0 + a))  # cosh u - 1 without cancellation
-        # past -700 a term is 0 to the sum, and numpy's exp is slow in subnormals
-        terms = np.exp(np.maximum(z[idx, None] * -c1, -700.0)) * (1.0 + c1)
-        out[idx] = h[idx] * (terms.sum(axis=1) - 0.5)  # u = 0 has half weight
+    trap = z[~series]
+    total = np.zeros_like(trap)
+    for v2, weight in _K1_NODES:
+        s2 = v2 / trap
+        total += weight * (1.0 + 0.5 * s2) / np.sqrt(1.0 + 0.25 * s2)
+    out[~series] = total / np.sqrt(trap)
     return out
 
 

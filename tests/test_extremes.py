@@ -120,6 +120,12 @@ class TestKbar:
         with pytest.raises(ValueError):
             kbar_asymptotic(0.0)
 
+    def test_nan_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            kbar(math.nan)
+        with pytest.raises(ValueError, match="positive"):
+            kbar_asymptotic(math.nan)
+
     def test_asymptotic_monotone_beyond_one(self):
         xs = np.linspace(1.0, 500.0, 200)
         vals = [kbar_asymptotic(float(x)) for x in xs]

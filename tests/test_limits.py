@@ -162,7 +162,7 @@ class TestRadialCdf:
         assert np.abs(_radial_cdf(2, radii) - (1.0 - z * k1(z))).max() <= 1e-15
 
     def test_g2_value_does_not_depend_on_the_other_radii(self):
-        # z = 2 r^2 from 2e-8 to 72: the K_1 series (z <= 2) and both trapezoidal steps
+        # z = 2 r^2 from 2e-8 to 72: the K_1 series (z <= 2) and the trapezoidal row
         rng = np.random.default_rng(31)
         radii = np.concatenate([np.geomspace(1e-4, 6.0, 700), rng.random(300) * 3.0])
         alone = [_radial_cdf(2, np.array([r]))[0] for r in radii]
@@ -178,9 +178,9 @@ class TestRadialCdf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # ~140 bytes a radius, nearly all of it 1-D arrays; the K_1 sums over
-        # all 200,000 radii at once, not in blocks, took ~220
-        assert peak / radii.size <= 160
+        # ~110 bytes a radius, all of it 1-D arrays; K_1 above z = 2 by 32-wide
+        # 2-D rows per z took ~137, and over all radii at once, not in blocks, ~220
+        assert peak / radii.size <= 125
 
     def test_monotone(self):
         xs = np.linspace(0.0, 3.0, 40)
@@ -196,7 +196,23 @@ class TestSpecialFunctions:
         # and at the seam of the series (z <= 2) and the trapezoidal rule (z > 2)
         seam = [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]
         z = np.concatenate([np.geomspace(1e-300, 745.0, 20001), seam])
-        assert np.abs(_k1e(z) / k1e(z) - 1.0).max() <= 2e-15
+        rel = np.abs(_k1e(z) / k1e(z) - 1.0)
+        assert rel.max() <= 2e-15
+        assert rel[z > 2.0].max() <= 1e-15  # the trapezoidal row
+
+    def test_k1e_value_depends_on_its_own_z_alone(self):
+        # the series, the shared trapezoidal row and both ends of the range
+        rng = np.random.default_rng(32)
+        z = np.concatenate([np.geomspace(1e-300, 745.0, 5000), rng.random(5000) * 745.0])
+        rng.shuffle(z)
+        together = _k1e(z).view(np.uint64)
+        alone = np.array([_k1e(z[i:i + 1])[0] for i in range(z.size)]).view(np.uint64)
+        assert np.array_equal(together, alone)
+        assert np.array_equal(_k1e(z[::-1]).view(np.uint64), alone[::-1])
+
+    def test_k1e_nan_is_nan(self):
+        # every slot is written: a NaN z reads NaN, not uninitialised memory
+        assert np.isnan(_k1e(np.array([np.nan, 1.0, 3.0]))[0])
 
     @pytest.mark.parametrize("g", range(1, 25))
     def test_gamma_q_matches_scipy(self, g):
