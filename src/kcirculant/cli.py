@@ -256,8 +256,8 @@ def cmd_tail(args) -> int:
         kb = extremes.kbar(x)
         if x > 0:
             asym = extremes.kbar_asymptotic(x)
-            ratio = kb / asym if asym > 0 else math.inf
-            print(f"{x:>12g} {kb:>16.9e} {asym:>16.9e} {ratio:>10.4f}")
+            ratio = f"{kb / asym:.4f}" if asym > 0 else "-"  # the asymptotic underflowed
+            print(f"{x:>12g} {kb:>16.9e} {asym:>16.9e} {ratio:>10}")
         else:
             print(f"{x:>12g} {kb:>16.9e} {'-':>16} {'-':>10}")
     return EXIT_PASS

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._textio import write_rows
-from .limits import _k1e
+from .limits import _e1e2
 from .seeding import derive_trial_seed
 
 __all__ = [
@@ -64,28 +64,21 @@ def normalization(q: int) -> GumbelNormalization:
 def kbar(x: float) -> float:
     """Tail probability P(E1*E2 > x) = integral exp(-y - x/y) dy over (0, inf).
 
-    The integral is s K_1(s) at s = 2 sqrt(x), with K_1 the modified Bessel
-    function of the second kind that the g = 2 radial CDF uses too (limits._k1e:
-    its ascending series up to s = 2, above it one 22-node trapezoidal row of
-    step 0.4 in v = 2 sqrt(s) sinh(u/2), within 6e-16 of scipy), to relative
-    accuracy near 1e-13, most of it exp(-s) at large s. It is exactly 0 once
-    s > 745, where exp(-s) underflows, and at most 1: below x = 1e-10 rounding
-    would pass 1 by up to 3 ulp.
+    The integral is s K_1(s) at s = 2 sqrt(x), K_1 the modified Bessel function
+    of the second kind: the tail side of limits._e1e2, the g = 2 radial CDF's
+    kernel, to relative accuracy near 1e-13, most of it exp(-s) at large s. It
+    is 1 at x = 0, never above 1, and 0 wherever exp(-s) underflows, x = inf too.
     """
     if not x >= 0:  # refuses NaN too
         raise ValueError("x must be nonnegative")
-    if x == 0:
-        return 1.0
-    s = 2.0 * math.sqrt(x)
-    if s > 745.0:
-        return 0.0
-    return min(1.0, float(s * math.exp(-s) * _k1e(np.array([s]))[0]))
+    return float(_e1e2(np.array([2.0 * math.sqrt(x)]))[1][0])
 
 
 def kbar_asymptotic(x: float) -> float:
     """Large-x form sqrt(pi) * x^(1/4) * exp(-2 sqrt(x)) of the same tail."""
     if not x > 0:  # refuses NaN too
         raise ValueError("x must be positive")
+    x = min(x, 1e300)  # x = inf reads 0, not inf * 0
     return math.sqrt(math.pi) * x**0.25 * math.exp(-2.0 * math.sqrt(x))
 
 

@@ -13,13 +13,13 @@ F(x) = 1/2 - (1/pi) int_0^T |phi|/t sin(arg phi - t x) dt, |phi(T)|/T < e^-40,
 on 16-node Gauss-Legendre panels at most 8 / max(8, |x| + 3g) wide (|x| + 3g
 bounds the phase rate), in blocks of 64 radii. Where a tail bound puts F or
 1 - F under 1e-16 it is exactly 0 or 1, so the grid never aliases there;
-elsewhere the error is about 1e-15, absolute. g = 1 keeps 1 - exp(-r^2),
-and g = 2 takes the closed form 1 - z K_1(z), z = 2 r^2, under the same guards.
-The special functions are numpy code here: e^z K_1(z) by its ascending series
-up to z = 2 and above it by one 22-node trapezoidal row in v = 2 sqrt(z)
-sinh(u/2), shared by every z (_k1e); log Gamma(1 + it) by Stirling's series and
-the exact modulus (_log_gamma_1_plus_it); and the bound Q(g, y), the regularized
-upper incomplete gamma function at integer g, by its finite sum (_gamma_q).
+elsewhere the error is about 1e-15, absolute. g = 1 keeps 1 - exp(-r^2), and
+g = 2 the closed form 1 - z K_1(z), z = 2 r^2, unguarded and relative. The
+special functions are numpy code here: (1 - z K_1(z), z K_1(z)), the CDF by its
+ascending series up to z = 2 and the tail above it by one 22-node trapezoidal
+row in v = 2 sqrt(z) sinh(u/2) shared by every z (_e1e2); log Gamma(1 + it) by
+Stirling's series and the exact modulus (_log_gamma_1_plus_it); and the bound
+Q(g, y), the regularized upper incomplete gamma at integer g, by its finite sum.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ EULER_GAMMA = 0.57721566490153286061
 DEGENERATE_RADIUS = math.exp(-EULER_GAMMA / 2.0)  # 0.74930600...
 
 _NEGLIGIBLE = 1e-16  # a CDF or tail bound below this reads as exact 0 or 1
-# _k1e's series, k = 13..0: 1 / (k! (k+1)!), and that times (psi(k+1) + psi(k+2)) / 2
+# _e1e2's series, k = 13..0: I's 1 / (k! (k+1)!), and K's, that times (psi(k+1) + psi(k+2)) / 2
 # with psi(k+1) = H_k - gamma, H_k the k-th harmonic number
 _I1_SERIES = [1.0 / (math.factorial(k) * math.factorial(k + 1)) for k in range(13, -1, -1)]
 _K1_SERIES = [(sum(1.0 / j for j in range(1, k + 1)) + 0.5 / (k + 1) - EULER_GAMMA) * c
               for k, c in zip(range(13, -1, -1), _I1_SERIES)]
-# _k1e's trapezoid above z = 2: (v^2, 0.4 e^(-v^2/2)) at v = 0.4 j, j = 21..0, half at v = 0
+# _e1e2's trapezoid above z = 2: (v^2, 0.4 e^(-v^2/2)) at v = 0.4 j, j = 21..0, half at v = 0
 _K1_NODES = [(v2, (0.2 if v2 == 0.0 else 0.4) * math.exp(-0.5 * v2))
              for v2 in [(0.4 * j) ** 2 for j in range(21, -1, -1)]]
 # B_2k / (2k (2k - 1)), k = 1..8: Stirling's series for log Gamma
@@ -62,19 +62,17 @@ def _radial_cdf(g: int, radii: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         if g == 1:
             return -np.expm1(-np.square(radii))
+        if g == 2:  # P(E_1 E_2 > y) = 2 sqrt(y) K_1(2 sqrt(y)) at y = r^4
+            return _e1e2(2.0 * np.square(radii))[0]
         x = 2 * g * np.log(radii)
         high = _gamma_q(g, -np.minimum(x, 0.0))             # E_j >=_st U_j
         tail = np.minimum(g * np.exp(-np.exp(x / g)), 1.0)  # P(max E_j > e^(x/g))
     out = (tail < _NEGLIGIBLE).astype(float)
     live = np.flatnonzero((high >= _NEGLIGIBLE) & (tail >= _NEGLIGIBLE))
-    if g == 2:  # P(E_1 E_2 > y) = 2 sqrt(y) K_1(2 sqrt(y)) at y = r^4
-        z = 2.0 * np.square(radii[live])
-        out[live] = 1.0 - z * np.exp(-z) * _k1e(z)
-    else:
-        for idx in np.split(live, range(64, live.size, 64)):  # bounds the temporaries
-            per_unit = math.ceil(max(8.0, np.abs(x[idx]).max(initial=0.0) + 3 * g) / 8.0)
-            t, arg_phi, weight = _inversion_grid(g, per_unit)
-            out[idx] = 0.5 - np.sin(arg_phi - np.outer(x[idx], t)) @ weight / math.pi
+    for idx in np.split(live, range(64, live.size, 64)):  # bounds the temporaries
+        per_unit = math.ceil(max(8.0, np.abs(x[idx]).max(initial=0.0) + 3 * g) / 8.0)
+        t, arg_phi, weight = _inversion_grid(g, per_unit)
+        out[idx] = 0.5 - np.sin(arg_phi - np.outer(x[idx], t)) @ weight / math.pi
     return np.clip(out, 1.0 - tail, high)
 
 
@@ -91,19 +89,19 @@ def _inversion_grid(g: int, per_unit: int):
     return t, log_phi.imag, weight
 
 
-def _k1e(z: np.ndarray) -> np.ndarray:
-    """e^z K_1(z) at each finite z > 0 of a 1-D array; each value depends on its own z alone.
-
-    z <= 2: the ascending series (DLMF 10.31.1) in w = z^2 / 4, 14 terms each by Horner,
-    K_1(z) = 1/z + (z/2) sum_k (log(z/2) - (psi(k+1) + psi(k+2)) / 2) w^k / (k! (k+1)!).
-    z > 2 (and NaN): v = 2 sqrt(z) sinh(u/2) takes int_0^inf exp(-z (cosh u - 1)) cosh u du
-    to z^(-1/2) int_0^inf e^(-v^2/2) (1 + x/2) / sqrt(1 + x/4) dv, x = v^2 / z. Its branch
-    points +-2i sqrt(z) lie over 2 sqrt(2) off the real axis, so one trapezoidal row, 22 nodes
-    of step 0.4 summed smallest first, serves every z to 6e-16 (Trefethen & Weideman 2014).
+def _e1e2(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1 - z K_1(z), z K_1(z)) = (P(E_1 E_2 <= z^2/4), P(E_1 E_2 > z^2/4)) at each z >= 0
+    of a 1-D array, the smaller side to relative accuracy, each value of its own z alone;
+    z = 0, inf and NaN give (+0.0, 1), (1, 0) and (NaN, NaN). z <= 2: the CDF is
+    2w (K - log(z/2) I), w = z^2 / 4, by the ascending series (DLMF 10.31.1), 14 terms each
+    by Horner. z > 2 (and NaN): v = 2 sqrt(z) sinh(u/2) turns the tail into sqrt(z) e^-z
+    int_0^inf e^(-v^2/2) (1 + x/2) / sqrt(1 + x/4) dv, x = v^2 / z, whose branch points
+    +-2i sqrt(z) lie over 2 sqrt(2) off the real axis: one trapezoidal row, 22 nodes of step
+    0.4 summed smallest first, serves every z to 6e-16 (Trefethen & Weideman 2014).
     """
-    out = np.empty_like(z)
+    cdf, tail = np.empty_like(z), np.empty_like(z)
     series = z <= 2.0
-    half = 0.5 * z[series]
+    half = np.maximum(0.5 * z[series], math.ulp(0.0))  # z = 0: w = 0 times a finite log
     w = half * half
     i1, k1 = np.full_like(w, _I1_SERIES[0]), np.full_like(w, _K1_SERIES[0])
     for ci, ck in zip(_I1_SERIES[1:], _K1_SERIES[1:]):
@@ -111,14 +109,16 @@ def _k1e(z: np.ndarray) -> np.ndarray:
         i1 += ci
         k1 *= w
         k1 += ck
-    out[series] = np.exp(2.0 * half) * (0.5 / half + half * (np.log(half) * i1 - k1))
-    trap = z[~series]
-    total = np.zeros_like(trap)
+    small = 2.0 * w * (k1 - np.log(half) * i1)
+    big = np.minimum(z[~series], 1e300)  # z = inf: sqrt(z) e^-z reads 0, not inf * 0
+    total = np.zeros_like(big)
     for v2, weight in _K1_NODES:
-        s2 = v2 / trap
+        s2 = v2 / big
         total += weight * (1.0 + 0.5 * s2) / np.sqrt(1.0 + 0.25 * s2)
-    out[~series] = total / np.sqrt(trap)
-    return out
+    large = np.sqrt(big) * np.exp(-big) * total
+    cdf[series], tail[~series] = small, large
+    cdf[~series], tail[series] = 1.0 - large, 1.0 - small
+    return cdf, tail
 
 
 def _gamma_q(g: int, y: np.ndarray) -> np.ndarray:

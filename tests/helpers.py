@@ -21,9 +21,9 @@ nested-quadrature tail of a product of exponentials that the Gil-Pelaez
 radial CDF in kcirculant.limits is checked against; quad_smooth is the
 adaptive quadrature under it. The modified Bessel function K1 here is a
 from-scratch series/asymptotic implementation, deliberately sharing no code
-with kcirculant.limits._k1e (a Horner-evaluated series below z = 2; above
+with kcirculant.limits._e1e2 (a Horner-evaluated series below z = 2; above
 it one shared 22-node trapezoidal row of step 0.4 in v = 2 sqrt(z) sinh(u/2))
-that kcirculant.extremes.kbar and the g = 2 radial CDF evaluate. Below
+whose two sides are the g = 2 radial CDF and kcirculant.extremes.kbar. Below
 z = 2 both sum the same ascending series, so there the frozen mpmath values
 and scipy are the independent references. Worst-case
 relative error is below 1e-8 on (0, 40] (largest at the z = 8 crossover),

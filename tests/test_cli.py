@@ -392,12 +392,12 @@ class TestReportDigests:
           "--radius", "0.75", "--epsilon", "0.06"], 0,
          "05bf2a6ee78c9941a619fa2ae496ba49c956fa4852a266ba1ddeacae7b3645c4"),
         (["lsd", "--theorem", "3", "--k", "100", "--n", "10001", "--trials", "2"], 0,
-         "a8f5bd1e8b78053acb77285c6f3b0640233be1728f9480c7a3eba01b7bc509f2"),
+         "ac77277b33c61b9dc517fd960f3910a2de926661e96c6c274fcbdad9dfb43aea"),
         (["lsd", "--theorem", "3", "--k", "5", "--n", "126", "--trials", "2"], 1,  # g = 3
          "37421be99b6aac57da1098e64bbaa024f4d6636c38b3084b8d546c1e17f7a74d"),
         (["lsd", "--theorem", "4", "--k", "100", "--n", "9999", "--trials", "2",
           "--law", "exp"], 0,
-         "0ab789457007b5bfe26907675dbd5886013e0e5bad67ea7319d48c8dc276cd05"),
+         "5e148f28050bf517c16974dfaeb4563c672b014e0f63bf97c568f32e4afbce59"),
         (["lsd", "--theorem", "4", "--k", "11", "--n", "665", "--trials", "1"], 0,  # g = 3
          "20a2aee47118a8a24d29f00849677f6855e79dd0833f89f17e7f79d1ecf2138e"),
         (["gumbel", "--kk", "20", "--trials", "50"], 1,
@@ -558,6 +558,24 @@ class TestOneSubparserPerCommand:
         assert made == built
 
 
+TAIL_TABLE = """\
+           x             tail       asymptotic      ratio
+           0  1.000000000e+00                -          -
+       1e-12  1.000000000e+00  1.772450306e-03   564.1907
+       1e-06  9.999863389e-01  5.593792436e-02    17.8767
+         0.5  4.443425236e-01  3.623533586e-01     1.2263
+           1  2.797317636e-01  2.398755439e-01     1.1662
+           2  1.396674740e-01  1.245839633e-01     1.1211
+          25  1.864877345e-04  1.799347809e-04     1.0364
+         400  3.398852782e-17  3.367523678e-17     1.0093
+       10000  2.457484747e-86  2.452892728e-86     1.0019
+      120000 4.271318000e-300 4.269008373e-300     1.0005
+      138000 6.768699348e-322 6.768699348e-322     1.0000
+      150000  0.000000000e+00  0.000000000e+00          -
+      1e+300  0.000000000e+00  0.000000000e+00          -
+"""
+
+
 class TestTail:
     def test_table_values(self):
         out = kcirc("tail", "--x", "1")
@@ -573,6 +591,12 @@ class TestTail:
         assert any("-" in ln.split()[-1] for ln in lines[1:2])
         ratio_400 = float(lines[-1].split()[-1])
         assert abs(ratio_400 - 1.0) < 0.01
+
+    def test_frozen_table(self, capsys):
+        # 1.38e5 reads a subnormal tail; at 1.5e5 and 1e300 both columns are 0,
+        # where the ratio reads "-" as it does at x = 0
+        assert main(["tail", "--x", "0,1e-12,1e-6,0.5,1,2,25,400,1e4,1.2e5,1.38e5,1.5e5,1e300"]) == 0
+        assert capsys.readouterr().out == TAIL_TABLE
 
     def test_empty_is_usage_error(self):
         out = kcirc("tail", "--x", " ")
@@ -652,6 +676,6 @@ class TestPackageSurface:
                 "lower_order_count_ie", "gcd_power_bound", "lsd_sample",
                 "export_points_csv", "orbit", "upsilon", "radial_tail",
                 "lsd_radial_cdf", "spectral_radius", "_jsonify", "_capped_n_prime",
-                "_read_only", "multiplicative_order"]
+                "_read_only", "multiplicative_order", "_k1e"]
         assert [name for name in gone
                 if any(hasattr(owner, name) for owner in [kcirculant, *modules])] == []

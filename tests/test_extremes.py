@@ -19,6 +19,7 @@ from kcirculant.extremes import (
     normalization,
     standardize_radius,
 )
+from kcirculant.limits import _e1e2
 from kcirculant.spectral import (
     build_matrix,
     dense_spectrum_oracle,
@@ -107,13 +108,22 @@ class TestKbar:
             assert kbar(x) == pytest.approx(z * ref, rel=1e-13)
             assert kbar(x) == pytest.approx(kbar_closed_form(x), rel=2e-8)
 
+    def test_kernel_sides_frozen_bessel_values(self):
+        # limits._e1e2 gives (1 - z K1(z), z K1(z)); kbar is its second side
+        z = np.array(list(K1_REFERENCE))
+        tail = z * np.array(list(K1_REFERENCE.values()))
+        cdf, ours = _e1e2(z)
+        assert np.abs(ours / tail - 1.0).max() <= 1e-15
+        assert np.abs(cdf - (1.0 - tail)).max() <= 2.3e-16
+
     def test_at_most_one_near_zero(self):
-        # s K_1(s) -> 1 as s -> 0, and rounding put it up to 3 ulp above
+        # s K_1(s) -> 1 as s -> 0; one minus a CDF that is never negative stays <= 1
         assert max(kbar(float(x)) for x in np.geomspace(5e-324, 1e-6, 400)) == 1.0
 
     def test_far_tail_is_exactly_zero(self):
         assert kbar(746.0**2 / 4.0) == 0.0
         assert kbar(math.inf) == 0.0
+        assert kbar_asymptotic(math.inf) == 0.0  # was inf * 0 = NaN
 
     def test_asymptotic_values(self):
         assert kbar_asymptotic(1.0) == pytest.approx(0.2398755439361229, abs=1e-12)

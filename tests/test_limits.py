@@ -21,11 +21,12 @@ from kcirculant.limits import (
     ks_radial,
     ks_two_sample,
     uniform_angle_ks,
+    _e1e2,
     _gamma_q,
-    _k1e,
     _log_gamma_1_plus_it,
     _radial_cdf,
 )
+from kcirculant.extremes import kbar
 from kcirculant.spectral import formula_polar, formula_spectrum
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -37,6 +38,15 @@ LOG_GAMMA_REFERENCE = {
     0.3: (-0.071946250899638399018, -0.16282067216785568217),
     1.0: (-0.65092319930185633889, -0.30164032046753319789),
     3.0: (-3.2441442995897561916, 1.0533507710686132003),
+}
+
+# frozen 40-digit mpmath values of 1 - z K_1(z), z = 2 r^2, at the float radii r
+G2_LOWER_TAIL = {
+    1e-6: 5.5107610902054020897e-23,
+    1e-5: 4.589727053007786265e-19,
+    1e-4: 3.6686930158101673973e-15,
+    1e-3: 2.7476589786139972987e-11,
+    1e-2: 1.8266249512980548431e-7,
 }
 
 
@@ -142,6 +152,18 @@ class TestRadialCdf:
         cdf = _radial_cdf(g, np.array([1e-6]))[0]
         assert 0.0 <= cdf <= uniform_product_cdf(g, 1e-6 ** (2 * g)) * (1 + 1e-12)
 
+    def test_g2_lower_tail_is_relative(self):
+        # the closed form through the tail guards read 0 at r = 1e-6 and was
+        # 2.9e-2 off at 1e-4: 1 - z K_1(z) cancelled below the 1e-16 guard
+        for r, ref in G2_LOWER_TAIL.items():
+            assert abs(_radial_cdf(2, np.array([r]))[0] / ref - 1.0) <= 1e-14, r
+
+    def test_g2_is_one_minus_kbar(self):
+        # kbar is the same kernel's other side; each side is the smaller one's complement
+        radii = np.geomspace(1e-12, 6.0, 2001)
+        tails = np.array([kbar(float(r) ** 4) for r in radii])
+        assert np.abs(tails + _radial_cdf(2, radii) - 1.0).max() <= 2.3e-16
+
     def test_g2_at_one(self):
         assert _radial_cdf(2, np.array([1.0]))[0] == pytest.approx(0.7202682363669551,
                                                                    abs=1e-6)
@@ -178,9 +200,9 @@ class TestRadialCdf:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # ~110 bytes a radius, all of it 1-D arrays; K_1 above z = 2 by 32-wide
-        # 2-D rows per z took ~137, and over all radii at once, not in blocks, ~220
-        assert peak / radii.size <= 125
+        # ~72 bytes a radius, all of it 1-D arrays; e^z K_1(z) through the tail
+        # guards took ~110, by 32-wide 2-D rows per z ~137, and in one block ~220
+        assert peak / radii.size <= 80
 
     def test_monotone(self):
         xs = np.linspace(0.0, 3.0, 40)
@@ -191,28 +213,34 @@ class TestRadialCdf:
 class TestSpecialFunctions:
     """The numpy special functions against scipy.special as an oracle."""
 
-    def test_k1e_matches_scipy(self):
-        from scipy.special import k1e
+    def test_e1e2_tail_matches_scipy(self):
+        from scipy.special import k1
         # and at the seam of the series (z <= 2) and the trapezoidal rule (z > 2)
         seam = [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]
-        z = np.concatenate([np.geomspace(1e-300, 745.0, 20001), seam])
-        rel = np.abs(_k1e(z) / k1e(z) - 1.0)
-        assert rel.max() <= 2e-15
-        assert rel[z > 2.0].max() <= 1e-15  # the trapezoidal row
+        z = np.concatenate([np.geomspace(1e-300, 745.0, 20001), np.linspace(690.0, 745.0, 2001),
+                            seam])
+        ref = z * k1(z)
+        # beyond z = 705.3 scipy's k1 is rounded as a subnormal number
+        normal = k1(z) >= np.finfo(float).tiny
+        assert np.abs(_e1e2(z)[1][normal] / ref[normal] - 1.0).max() <= 1e-15
 
-    def test_k1e_value_depends_on_its_own_z_alone(self):
+    def test_e1e2_value_depends_on_its_own_z_alone(self):
         # the series, the shared trapezoidal row and both ends of the range
         rng = np.random.default_rng(32)
         z = np.concatenate([np.geomspace(1e-300, 745.0, 5000), rng.random(5000) * 745.0])
         rng.shuffle(z)
-        together = _k1e(z).view(np.uint64)
-        alone = np.array([_k1e(z[i:i + 1])[0] for i in range(z.size)]).view(np.uint64)
-        assert np.array_equal(together, alone)
-        assert np.array_equal(_k1e(z[::-1]).view(np.uint64), alone[::-1])
+        together = np.stack(_e1e2(z)).view(np.uint64)
+        alone = np.array([np.stack(_e1e2(z[i:i + 1]))[:, 0] for i in range(z.size)]).T
+        assert np.array_equal(together, alone.view(np.uint64))
+        assert np.array_equal(np.stack(_e1e2(z[::-1])).view(np.uint64),
+                              alone[:, ::-1].view(np.uint64))
 
-    def test_k1e_nan_is_nan(self):
+    def test_e1e2_ends(self):
         # every slot is written: a NaN z reads NaN, not uninitialised memory
-        assert np.isnan(_k1e(np.array([np.nan, 1.0, 3.0]))[0])
+        cdf, tail = _e1e2(np.array([0.0, np.inf, np.nan, 1.0, 3.0]))
+        assert cdf[:2].tolist() == [0.0, 1.0] and math.copysign(1.0, cdf[0]) == 1.0
+        assert tail[:2].tolist() == [1.0, 0.0]
+        assert np.isnan(cdf[2]) and np.isnan(tail[2])
 
     @pytest.mark.parametrize("g", range(1, 25))
     def test_gamma_q_matches_scipy(self, g):
